@@ -16,43 +16,23 @@ Three layers, each usable on its own:
 * :mod:`repro.analysis.dataflow` / :mod:`repro.analysis.gradflow` —
   abstract interpretation of traced autograd graphs (interval × finiteness
   domain, gradient-flow audit).  ``repro analyze`` drives both over every
-  shipped model; :mod:`repro.analysis.audit` holds that harness (imported
-  lazily — it pulls in the model zoo).
-* :mod:`repro.analysis.plan` (with :mod:`repro.analysis.alias` and
-  :mod:`repro.analysis.liveness`) — tape-to-plan compilation: alias/escape
-  analysis over per-op memory metadata, liveness + buffer-reuse coloring,
-  layout rewrites (OPT4xx findings), and a machine-checked plan verifier
-  that abstractly interprets the rewritten graph and refuses divergent
-  plans.  ``repro analyze --plan`` drives it over every shipped model.
+  shipped model; :mod:`repro.analysis.audit` holds that harness (it
+  imports the model zoo lazily) and the baseline-file reader/writer both
+  gates share.
 * :mod:`repro.analysis.effects` / :mod:`repro.analysis.purity` /
   :mod:`repro.analysis.forksafety` — the determinism analyzer: an
   interprocedural effect system over the ``repro`` package's own AST.
   Every declared determinism root (``MaceTrainer.fit``, serving
-  ``update``/``score``, the fleet ``run``, ``run_drill``, the plan
-  compiler) is checked against the pure-modulo-seed contract (DET5xx
-  findings with provenance chains); the multiprocessing layers get a
-  fork-safety pass (FS6xx).  ``repro analyze --effects`` drives it and
-  gates the audited set against ``det_baseline.json``.
+  ``update``/``score``, the fleet ``run``, ``run_drill``) is checked
+  against the pure-modulo-seed contract (DET5xx findings with provenance
+  chains); the multiprocessing layers get a fork-safety pass (FS6xx).
+  ``repro analyze --effects`` drives it and gates the audited set against
+  ``det_baseline.json``.
 """
 
-from repro.analysis.alias import (
-    MemCoverageError,
-    compose_perms,
-    escaping_groups,
-    inplace_candidates,
-    invert_perm,
-    is_identity_perm,
-    storage_groups,
-)
 from repro.analysis.anomaly import AnomalyError, detect_anomaly
 from repro.analysis.contracts import check_model, input_spec
-from repro.analysis.dataflow import (
-    Finding,
-    abstract_values,
-    coverage,
-    mem_coverage,
-    propagate,
-)
+from repro.analysis.dataflow import Finding, coverage, propagate
 from repro.analysis.domains import Interval
 from repro.analysis.effects import (
     ATOMS,
@@ -71,20 +51,6 @@ from repro.analysis.purity import (
 )
 from repro.analysis.gradflow import audit_gradient_flow
 from repro.analysis.lint import Violation, lint_paths, lint_source
-from repro.analysis.liveness import BufferAssignment, analyze_liveness, last_uses
-from repro.analysis.plan import (
-    ExecutionPlan,
-    LegalityProof,
-    PlanError,
-    PlanStep,
-    PlanVerificationError,
-    Rewrite,
-    bitwise_equal,
-    build_plan,
-    execute_graph_plan,
-    execute_plan,
-    verify_plan,
-)
 from repro.analysis.spec import ContractError, Dim, TensorSpec, child_contract, merge_dtype
 from repro.analysis.trace import Graph, GraphNode, trace
 
@@ -109,29 +75,6 @@ __all__ = [
     "GraphNode",
     "trace",
     "audit_gradient_flow",
-    "abstract_values",
-    "mem_coverage",
-    "MemCoverageError",
-    "storage_groups",
-    "escaping_groups",
-    "inplace_candidates",
-    "compose_perms",
-    "invert_perm",
-    "is_identity_perm",
-    "BufferAssignment",
-    "analyze_liveness",
-    "last_uses",
-    "PlanStep",
-    "Rewrite",
-    "LegalityProof",
-    "ExecutionPlan",
-    "PlanError",
-    "PlanVerificationError",
-    "build_plan",
-    "verify_plan",
-    "execute_plan",
-    "execute_graph_plan",
-    "bitwise_equal",
     "ATOMS",
     "EffectAnnotation",
     "EffectSite",

@@ -1,6 +1,6 @@
 """Interprocedural effect inference over the repository's own AST.
 
-This is the front half of the determinism analyzer (DESIGN.md §14): it
+This is the front half of the determinism analyzer (DESIGN.md §13): it
 parses every module of a package, builds a module-level call graph, and
 infers an **effect signature** per function from a small lattice of
 effect atoms:
@@ -439,7 +439,7 @@ def _walk_function(node: ast.AST):
     """All nodes of a function, including nested defs, excluding classes.
 
     Nested functions (closures) are treated as part of the enclosing
-    function's extent — e.g. ``execute_plan``'s inner ``run`` helper —
+    function's extent — e.g. ``trace``'s inner ``node_of`` helper —
     because they execute inside its dynamic extent.
     """
     stack = list(ast.iter_child_nodes(node))

@@ -38,24 +38,20 @@ DET508    (structural)    error   stale or malformed ``# effects: ok``
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.audit import BASELINE_VERSION, fingerprint
 from repro.analysis.dataflow import Finding
 from repro.analysis.effects import EffectSite, RepoModel, analyze_package
 
 __all__ = [
     "DET_RULES",
     "DETERMINISM_ROOTS",
-    "DET_BASELINE_VERSION",
     "check_roots",
     "effects_report",
-    "load_det_baseline",
-    "write_det_baseline",
+    "audited_fingerprints",
     "det_regressions",
 ]
-
-DET_BASELINE_VERSION = 1
 
 # Declared determinism roots: public entry points whose outputs the
 # repo promises are bitwise-reproducible modulo declared seeds.
@@ -65,8 +61,6 @@ DETERMINISM_ROOTS: Tuple[str, ...] = (
     "repro.runtime.serving.ServingRuntime.update",
     "repro.runtime.orchestrator.FleetOrchestrator.run",
     "repro.runtime.remediation.drill.run_drill",
-    "repro.analysis.plan.build_plan",
-    "repro.analysis.plan.execute_plan",
 )
 
 _ATOM_RULES: Dict[str, Tuple[str, str, str]] = {
@@ -190,7 +184,7 @@ def effects_report(model: Optional[RepoModel] = None,
         })
     active = [f for f in findings if not f.suppressed]
     report = {
-        "version": DET_BASELINE_VERSION,
+        "version": BASELINE_VERSION,
         "roots": root_rows,
         "findings": [f.to_dict() for f in findings],
         "summary": {
@@ -204,34 +198,12 @@ def effects_report(model: Optional[RepoModel] = None,
 
 
 # ----------------------------------------------------------------------
-# Baseline handling (det_baseline.json)
+# Gate policy (det_baseline.json, key ``audited``)
 # ----------------------------------------------------------------------
 
-def _det_fingerprint(finding: Finding) -> str:
-    from repro.analysis.audit import fingerprint
-
-    return fingerprint(finding)
-
-
-def load_det_baseline(path: str) -> Dict[str, List[str]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    if data.get("version") != DET_BASELINE_VERSION:
-        raise ValueError(
-            f"determinism baseline {path} has version "
-            f"{data.get('version')}, expected {DET_BASELINE_VERSION}")
-    return {"audited": list(data.get("audited", []))}
-
-
-def write_det_baseline(path: str, report: dict) -> None:
-    """Snapshot every audited (suppressed) finding fingerprint."""
-    audited = sorted({
-        _det_fingerprint(f) for f in report["_findings"] if f.suppressed
-    })
-    payload = {"version": DET_BASELINE_VERSION, "audited": audited}
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+def audited_fingerprints(report: dict) -> List[str]:
+    """What ``--update-baseline`` records: every audited finding."""
+    return [fingerprint(f) for f in report["_findings"] if f.suppressed]
 
 
 def det_regressions(report: dict,
@@ -253,7 +225,7 @@ def det_regressions(report: dict,
     current: Dict[str, Finding] = {}
     for finding in report["_findings"]:
         if finding.suppressed:
-            current.setdefault(_det_fingerprint(finding), finding)
+            current.setdefault(fingerprint(finding), finding)
     new_audited = [f for fp, f in sorted(current.items())
                    if fp not in expected]
     vanished = sorted(expected - set(current))

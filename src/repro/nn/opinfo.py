@@ -26,9 +26,6 @@ __all__ = [
     "Rule",
     "DF_RULES",
     "OP_INFO",
-    "OpMemInfo",
-    "MEM_INFO",
-    "mem_info",
     "transfer",
     "EXP_OVERFLOW_BOUND",
     "POWER_OVERFLOW_BOUND",
@@ -325,96 +322,6 @@ OP_INFO: Dict[str, Callable[[OpContext], Interval]] = {
     "avg_pool1d": _t_identity,
     "max_pool1d": _t_identity,
 }
-
-
-# ----------------------------------------------------------------------
-# Memory/alias metadata (consumed by repro.analysis.{alias,liveness,plan})
-# ----------------------------------------------------------------------
-
-class OpMemInfo(NamedTuple):
-    """Static memory semantics of one op.
-
-    view:
-        ``"always"`` — the output aliases input storage unconditionally
-        (``transpose``); ``"maybe"`` — NumPy may return a view or a copy
-        depending on strides (``reshape``, basic-index ``getitem``);
-        ``"never"`` — the output always owns fresh storage.
-    elementwise:
-        Output position (i, j, ...) depends only on the operand values at
-        that same (broadcast) position.  Such ops are positionwise
-        deterministic: evaluating them on any axis permutation of their
-        operands yields the bit-identical permutation of the result.
-    inplace_safe:
-        The op could write its result into the first operand's buffer
-        without changing semantics (no cross-element reads).
-    commutes_with_transpose:
-        ``transpose(f(xs), p) == f(transpose(x, p) for x in xs)`` holds
-        bitwise; true exactly for elementwise ops here, kept as its own
-        field because the planner's rewrite legality quotes it directly.
-    """
-
-    view: str
-    elementwise: bool
-    inplace_safe: bool
-    commutes_with_transpose: bool
-
-
-_MEM_ELEMENTWISE = OpMemInfo("never", True, True, True)
-_MEM_OPAQUE = OpMemInfo("never", False, False, False)
-
-MEM_INFO: Dict[str, OpMemInfo] = {
-    # Elementwise arithmetic and activations.
-    "add": _MEM_ELEMENTWISE,
-    "sub": _MEM_ELEMENTWISE,
-    "neg": _MEM_ELEMENTWISE,
-    "mul": _MEM_ELEMENTWISE,
-    "div": _MEM_ELEMENTWISE,
-    "pow": _MEM_ELEMENTWISE,
-    "exp": _MEM_ELEMENTWISE,
-    "log": _MEM_ELEMENTWISE,
-    "sqrt": _MEM_ELEMENTWISE,
-    "abs": _MEM_ELEMENTWISE,
-    "tanh": _MEM_ELEMENTWISE,
-    "sigmoid": _MEM_ELEMENTWISE,
-    "relu": _MEM_ELEMENTWISE,
-    "clip": _MEM_ELEMENTWISE,
-    "where": _MEM_ELEMENTWISE,
-    "maximum": _MEM_ELEMENTWISE,
-    "minimum": _MEM_ELEMENTWISE,
-    "odd_power": _MEM_ELEMENTWISE,
-    "odd_root": _MEM_ELEMENTWISE,
-    # Layout ops: transpose is always a stride trick; reshape and basic
-    # getitem may alias; broadcast copies in this substrate (tensor.py
-    # calls ``.copy()`` so autograd never sees writable aliased storage).
-    "transpose": OpMemInfo("always", False, False, False),
-    "reshape": OpMemInfo("maybe", False, False, False),
-    "getitem": OpMemInfo("maybe", False, False, False),
-    "broadcast": OpMemInfo("never", False, False, False),
-    # Reductions read many positions per output element.
-    "sum": _MEM_OPAQUE,
-    "max": _MEM_OPAQUE,
-    "min": _MEM_OPAQUE,
-    # Contractions, joins, and structured kernels.
-    "matmul": _MEM_OPAQUE,
-    "concat": _MEM_OPAQUE,
-    "stack": _MEM_OPAQUE,
-    "pad1d": _MEM_OPAQUE,
-    "conv1d": _MEM_OPAQUE,
-    "conv_transpose1d": _MEM_OPAQUE,
-    "avg_pool1d": _MEM_OPAQUE,
-    "max_pool1d": _MEM_OPAQUE,
-}
-
-
-def mem_info(op: str) -> Optional[OpMemInfo]:
-    """Memory metadata for ``op``, or ``None`` when unregistered.
-
-    Unlike :func:`transfer` there is no sound fallback here: a missing
-    entry means the planner must refuse to reason about the op, and
-    ``repro analyze`` turns that into a hard error (opinfo completeness
-    gate) rather than a silent imprecision.
-    """
-    return MEM_INFO.get(op)
 
 
 def transfer(ctx: OpContext) -> Interval:

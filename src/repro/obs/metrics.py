@@ -336,8 +336,12 @@ class Histogram:
     def snapshot(self) -> dict:
         quantiles = {}
         if self.count:
-            for q in DEFAULT_QUANTILES:
-                quantiles[f"p{int(q * 100)}"] = self.quantile(q)
+            # Independent P² estimators can cross; report the running max
+            # in ascending q, kept inside the observed [min, max].
+            running = self.min
+            for q in sorted(DEFAULT_QUANTILES):
+                running = min(max(self.quantile(q), running), self.max)
+                quantiles[f"p{int(q * 100)}"] = running
         snap = {
             "kind": self.kind, "name": self.name,
             "labels": dict(self.labels),

@@ -5,7 +5,7 @@ consistent-hash sharding onto supervised scoring workers, a crash-safe
 per-shard write-ahead log that makes every acknowledgement a durability
 promise, bounded queues with explicit backpressure, per-tenant admission
 control under a fleet-wide overload ladder, and loss-free worker
-failover verified bitwise by the chaos suite.  See DESIGN.md §15.
+failover verified bitwise by the chaos suite.  See DESIGN.md §14.
 """
 
 from repro.runtime.gateway.admission import (

@@ -675,10 +675,12 @@ class ServingGateway:
 
     def kill_worker(self, shard_id: str) -> None:
         """SIGKILL a shard's worker (chaos hook); dispatch will fail over
-        and recover from WAL on the next delivery."""
+        and recover from WAL on the next delivery.  Waits for the reap, so
+        the next ``is_alive()`` already reports the worker dead."""
         shard = self._shards[shard_id]
         if shard.process is not None and shard.process.is_alive():
             shard.process.kill()
+            shard.process.join(self.config.term_grace)
 
     # ------------------------------------------------------------------
     # Introspection / verification

@@ -19,6 +19,7 @@ from repro.analysis.audit import (
     fingerprint,
     load_baseline,
     new_findings,
+    warning_fingerprints,
     write_baseline,
 )
 from repro.analysis.dataflow import Finding
@@ -58,8 +59,9 @@ class TestBaselinePolicy:
             _finding(severity="error", rule="DF201", op="log"),
         ]}
         path = tmp_path / "baseline.json"
-        write_baseline(str(path), report)
-        baseline = load_baseline(str(path))
+        write_baseline(str(path), "accepted_warnings",
+                       warning_fingerprints(report))
+        baseline = load_baseline(str(path), "accepted_warnings")
         assert baseline["accepted_warnings"] == [
             fingerprint(report["_findings"][0])
         ]
@@ -70,7 +72,7 @@ class TestBaselinePolicy:
             {"version": BASELINE_VERSION + 1, "accepted_warnings": []}
         ))
         with pytest.raises(ValueError):
-            load_baseline(str(path))
+            load_baseline(str(path), "accepted_warnings")
 
     def test_errors_always_fail_even_if_accepted(self):
         error = _finding(severity="error", rule="DF201", op="log")

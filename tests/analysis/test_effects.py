@@ -10,14 +10,14 @@ import json
 
 import pytest
 
+from repro.analysis.audit import load_baseline, write_baseline
 from repro.analysis.effects import analyze_package, parse_annotations
 from repro.analysis.purity import (
     DETERMINISM_ROOTS,
+    audited_fingerprints,
     check_roots,
     det_regressions,
     effects_report,
-    load_det_baseline,
-    write_det_baseline,
 )
 
 
@@ -393,8 +393,8 @@ class TestBaseline:
     def test_roundtrip_and_exact_match(self, tmp_path):
         report = self._report(tmp_path)
         path = tmp_path / "det_baseline.json"
-        write_det_baseline(str(path), report)
-        baseline = load_det_baseline(str(path))
+        write_baseline(str(path), "audited", audited_fingerprints(report))
+        baseline = load_baseline(str(path), "audited")
         assert len(baseline["audited"]) == 1
         unaudited, new, vanished = det_regressions(report, baseline)
         assert (unaudited, new, vanished) == ([], [], [])
@@ -420,7 +420,7 @@ class TestBaseline:
         path.write_text(json.dumps({"version": 99, "audited": []}),
                         encoding="utf-8")
         with pytest.raises(ValueError):
-            load_det_baseline(str(path))
+            load_baseline(str(path), "audited")
 
 
 @pytest.fixture(scope="module")
@@ -447,7 +447,7 @@ class TestRealRepository:
                    for m in messages)
 
     def test_matches_committed_baseline(self, repo_report):
-        baseline = load_det_baseline("det_baseline.json")
+        baseline = load_baseline("det_baseline.json", "audited")
         unaudited, new, vanished = det_regressions(repo_report, baseline)
         assert (unaudited, new, vanished) == ([], [], [])
 

@@ -164,6 +164,22 @@ class TestHistogram:
     def test_empty_quantile_is_nan(self):
         assert np.isnan(Histogram("h").quantile(0.5))
 
+    def test_snapshot_quantiles_monotone_when_estimators_cross(self):
+        # On this stream the separate P² estimators cross: p99 < p50.
+        values = [476.7, 346.0, 539.7, 1617.8, 1555.5, 1076.6, 610.6,
+                  854.2, 785.7, 767.4]
+        p50, p99 = P2Quantile(0.5), P2Quantile(0.99)
+        for value in values:
+            p50.observe(value)
+            p99.observe(value)
+        assert p99.value() < p50.value()
+
+        quantiles = _histogram_from(values).snapshot()["quantiles"]
+        assert quantiles["p50"] == pytest.approx(p50.value())
+        assert quantiles["p50"] <= quantiles["p90"] <= quantiles["p99"]
+        assert min(values) <= quantiles["p50"]
+        assert quantiles["p99"] <= max(values)
+
 
 class TestExemplars:
     def test_worst_observation_per_bucket_wins(self):

@@ -5,9 +5,11 @@ composes: the consistent-hash shard map (determinism + bounded remap),
 the write-ahead log (torn-tail recovery, typed corruption, bitwise float
 round-trips), admission control (token buckets + overload ladder on a
 virtual clock), and the idempotent sequence-aware ServingRuntime update
-that makes WAL replay safe.
+that makes WAL replay safe, plus the worker kill -> state-collection
+failover path.
 """
 
+import asyncio
 import json
 import struct
 
@@ -16,6 +18,8 @@ import pytest
 
 from repro.runtime import (
     ConsistentHashRing,
+    GatewayConfig,
+    ServingGateway,
     TenantPolicy,
     WalCorruptionError,
     WriteAheadLog,
@@ -358,3 +362,40 @@ class TestServingStateSnapshot:
         assert restored.streaming.state_dict() == \
             runtime.streaming.state_dict()
         assert restored.applied_sequence("svc-0") == 0  # marks not in file
+
+
+class TestKillThenCollect:
+    def test_collect_right_after_kill_fails_over_bitwise(self, tmp_path):
+        """``collect_states()`` straight after ``kill_worker()`` must see
+        the worker dead, fail over, and return the pre-kill states."""
+        fleet = make_fleet_series(3, 64, 6, seed=0)
+        histories = {sid: series[:64] for sid, series in fleet.items()}
+        streams = {sid: series[64:] for sid, series in fleet.items()}
+        detector = ZScoreDetector().fit(
+            sorted(histories), [histories[sid] for sid in sorted(histories)])
+        gateway = ServingGateway(
+            tmp_path, detector, histories,
+            GatewayConfig(workers=1, window=16, queue_depth=64,
+                          ack_timeout=5.0))
+
+        async def session():
+            await gateway.start()
+            try:
+                for service_id in sorted(streams):
+                    for sequence, row in enumerate(streams[service_id], 1):
+                        verdict = await gateway.submit(service_id, row,
+                                                       sequence)
+                        assert verdict.accepted
+                before = await gateway.collect_states()
+                shard = gateway.shard_of("svc-0")
+                gateway.kill_worker(shard)
+                after = await gateway.collect_states()
+                respawns = gateway.status()["shards"][shard]["respawns"]
+            finally:
+                await gateway.drain()
+            return before, after, respawns
+
+        before, after, respawns = asyncio.run(session())
+        assert respawns == 1
+        assert json.dumps(after, sort_keys=True) == \
+            json.dumps(before, sort_keys=True)

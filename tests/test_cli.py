@@ -97,15 +97,15 @@ class TestAnalysisCommands:
 
     def test_analyze_effects_update_baseline_roundtrip(self, tmp_path,
                                                        capsys):
-        import json
-
-        target = tmp_path / "det_baseline.json"
-        assert main(["analyze", "--effects", "--update-baseline",
-                     "--baseline", str(target)]) == 0
-        written = json.loads(target.read_text(encoding="utf-8"))
-        committed = json.loads(
-            open("det_baseline.json", encoding="utf-8").read())
-        assert written == committed
+        # Both gates share one baseline writer; regenerating either
+        # committed file must reproduce it byte for byte.
+        for flags, committed in ((["--effects"], "det_baseline.json"),
+                                 ([], "analysis_baseline.json")):
+            target = tmp_path / committed
+            assert main(["analyze", *flags, "--update-baseline",
+                         "--baseline", str(target)]) == 0
+            with open(committed, "rb") as handle:
+                assert target.read_bytes() == handle.read()
 
     def test_analyze_effects_vanished_fails(self, tmp_path, capsys):
         import json
