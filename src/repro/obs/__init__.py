@@ -8,23 +8,26 @@ reproduction measures it from the inside (DESIGN.md §11):
     (P² quantiles), with Prometheus-style exposition, bitwise-stable
     JSONL export, and associative cross-process merge.
 ``repro.obs.tracing``
-    Nested context-manager spans (wall time + optional ``tracemalloc``
-    deltas), deterministic root-span sampling, and a near-zero-cost
-    disabled path so call sites can live in hot loops permanently; plus
-    :func:`profile_ops`, the autograd op-hook latency profiler.
+    :class:`SpanRecord`, the one span schema, and nested context-manager
+    spans (wall time + optional ``tracemalloc`` deltas) with a
+    near-zero-cost disabled path so call sites can live in hot loops
+    permanently; plus :func:`profile_ops`, the autograd op-hook latency
+    profiler.
 ``repro.obs.events``
     Append-only schema-versioned JSONL event log: health transitions,
     breaker trips, checkpoint saves/rewinds, fleet retries,
-    non-finite-batch skips.
+    non-finite-batch skips.  Also the shared append-only writer
+    (:class:`~repro.obs.events.JsonlSink`) and the one torn-line-tolerant
+    reader (:func:`read_jsonl`) behind every telemetry file.
 ``repro.obs.report``
     ``repro obs report`` — per-phase time/memory breakdown, top-k ops,
     epoch timeline and fleet attempt tables from a run directory's JSONL
     artifacts alone.
 ``repro.obs.propagate``
     Cross-process trace propagation: the deterministic
-    :class:`TraceContext` minted at gateway admission, the wire format
-    that rides WAL frames and worker IPC, and the append-only
-    ``spans.jsonl`` trace sink with offline tree assembly.
+    :class:`TraceContext` minted at gateway admission (the layer's only
+    sampling policy), the wire format that rides WAL frames and worker
+    IPC, and the ``spans.jsonl`` trace sink with offline tree assembly.
 ``repro.obs.slo``
     Declarative SLOs over the streaming metrics: error budgets,
     multi-window burn-rate alerts (``slo_burn`` events), and the
@@ -45,7 +48,7 @@ from repro.obs.events import (
     emit,
     get_event_log,
     install_event_log,
-    read_events,
+    read_jsonl,
 )
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -72,9 +75,7 @@ from repro.obs.propagate import (
     TraceContext,
     TraceLog,
     build_trace_tree,
-    read_trace_spans,
     render_trace_tree,
-    spans_by_trace,
 )
 from repro.obs.report import RunTelemetry, load_run, render_report
 from repro.obs.slo import (
@@ -92,9 +93,8 @@ __all__ = [
     "SpanRecord", "Tracer", "span", "enable_tracing", "disable_tracing",
     "tracing_enabled", "current_tracer", "profile_ops",
     "EventLog", "EVENT_KINDS", "SCHEMA_VERSION", "emit", "get_event_log",
-    "install_event_log", "read_events",
-    "TraceContext", "TraceLog", "build_trace_tree", "read_trace_spans",
-    "render_trace_tree", "spans_by_trace",
+    "install_event_log", "read_jsonl",
+    "TraceContext", "TraceLog", "build_trace_tree", "render_trace_tree",
     "SloObjective", "BurnWindow", "SloEngine", "DEFAULT_WINDOWS",
     "RunTelemetry", "load_run", "render_report",
     "render_top", "run_top",

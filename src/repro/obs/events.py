@@ -13,9 +13,10 @@ Every record carries::
      "kind": "<event kind>", ...payload fields...}
 
 ``schema`` is bumped on any backwards-incompatible change so old run
-directories stay readable.  Writes are line-buffered appends; a crash can
-at worst tear the final line, which :func:`read_events` skips (the same
-torn-write stance as the orchestrator's ``result.json``).
+directories stay readable.  Every telemetry file is written through
+:class:`JsonlSink` (flushed line appends, so a crash can at worst tear
+the final line) and read back through :func:`read_jsonl`, which skips the
+tear (the same torn-write stance as the orchestrator's ``result.json``).
 
 A process has one *installed* event log (an in-memory ring by default);
 instrumented code calls the module-level :func:`emit` so library layers
@@ -41,11 +42,12 @@ from typing import Callable, Iterator, List, Optional
 __all__ = [
     "SCHEMA_VERSION",
     "EVENT_KINDS",
+    "JsonlSink",
     "EventLog",
     "emit",
     "get_event_log",
     "install_event_log",
-    "read_events",
+    "read_jsonl",
 ]
 
 SCHEMA_VERSION = 1
@@ -95,7 +97,35 @@ EVENT_KINDS = frozenset({
 })
 
 
-class EventLog:
+class JsonlSink:
+    """Append-only JSONL file: one flushed, sorted-key line per record
+    (nothing is written when ``path`` is ``None``)."""
+
+    def __init__(self, path: Optional[str | Path] = None):
+        self.path = Path(path) if path is not None else None
+        self._file = None
+        if self.path is not None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._file = open(self.path, "a", encoding="utf-8")
+
+    def write(self, record: dict) -> None:
+        if self._file is not None:
+            self._file.write(json.dumps(record, sort_keys=True) + "\n")
+            self._file.flush()
+
+    def close(self) -> None:
+        if self._file is not None:
+            self._file.close()
+            self._file = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class EventLog(JsonlSink):
     """Sequence-numbered JSONL event sink (file-backed or in-memory).
 
     Keeps the last ``keep`` records in memory for assertions and for the
@@ -105,14 +135,10 @@ class EventLog:
 
     def __init__(self, path: Optional[str | Path] = None, *,
                  keep: int = 4096, clock: Callable[[], float] = time.time):  # effects: ok TIME reason=wall-clock is the default timestamp; drills inject a virtual clock
-        self.path = Path(path) if path is not None else None
+        super().__init__(path)
         self.tail: deque = deque(maxlen=keep)
         self._clock = clock
         self._seq = 0
-        self._file = None
-        if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._file = open(self.path, "a", encoding="utf-8")
 
     def emit(self, kind: str, **fields: object) -> dict:
         """Append one event; returns the record written."""
@@ -122,9 +148,7 @@ class EventLog:
         for key, value in fields.items():
             record[key] = _jsonable(value)
         self.tail.append(record)
-        if self._file is not None:
-            self._file.write(json.dumps(record, sort_keys=True) + "\n")
-            self._file.flush()
+        self.write(record)
         return record
 
     def events(self, kind: Optional[str] = None) -> List[dict]:
@@ -132,17 +156,6 @@ class EventLog:
         if kind is None:
             return list(self.tail)
         return [record for record in self.tail if record["kind"] == kind]
-
-    def close(self) -> None:
-        if self._file is not None:
-            self._file.close()
-            self._file = None
-
-    def __enter__(self) -> "EventLog":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def _jsonable(value: object) -> object:
@@ -186,12 +199,12 @@ def emit(kind: str, **fields: object) -> dict:
     return _LOG.emit(kind, **fields)  # effects: ok FORK_GLOBAL reason=swap point by design; workers install their own log on entry
 
 
-def read_events(path: str | Path,
-                kind: Optional[str] = None) -> Iterator[dict]:
-    """Stream records back from a JSONL event file.
+def read_jsonl(path: str | Path) -> Iterator[dict]:
+    """Stream the JSON objects back from a JSONL file.
 
-    Blank and torn (undecodable) lines are skipped: an append-only log
-    written through a crash is still readable up to the tear.
+    Blank, torn (undecodable) and non-object lines are skipped: an
+    append-only file written through a crash is still readable up to the
+    tear.
     """
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
@@ -202,5 +215,5 @@ def read_events(path: str | Path,
                 record = json.loads(line)
             except json.JSONDecodeError:
                 continue
-            if kind is None or record.get("kind") == kind:
+            if isinstance(record, dict):
                 yield record

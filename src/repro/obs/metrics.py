@@ -480,12 +480,6 @@ class MetricsRegistry:
             registry._metrics[key] = metric
         return registry
 
-    @classmethod
-    def from_jsonl(cls, text: str) -> "MetricsRegistry":
-        snapshots = [json.loads(line) for line in text.splitlines()
-                     if line.strip()]
-        return cls.from_snapshot(snapshots)
-
 
 def _sanitize_name(name: str) -> str:
     return "".join(c if c.isalnum() or c == "_" else "_" for c in name)

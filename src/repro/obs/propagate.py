@@ -16,14 +16,14 @@ module is the wire half of that story:
   submit envelope, the WAL frame, the shard queue, and the worker IPC
   command.  ``from_wire`` tolerates ``None`` and unknown shapes, which is
   what keeps schema-1 WAL frames (pre-trace) replayable.
-* :class:`TraceLog` — an append-only ``spans.jsonl`` sink with the same
-  torn-write stance as the event log: one flushed line per span, so a
-  worker killed mid-ack leaves every *recorded* span readable.  Records
-  are span dicts compatible with :func:`repro.obs.tracing.aggregate_spans`
-  plus the trace fields (``trace_id`` / ``span_id`` / ``parent_span_id``).
-* :func:`read_trace_spans` / :func:`build_trace_tree` — the offline half:
-  stream spans back (skipping torn lines) and assemble one trace's spans
-  into a parent-linked tree for rendering.
+* :class:`TraceLog` — the ``spans.jsonl`` sink, a
+  :class:`repro.obs.events.JsonlSink` like the event log: one flushed
+  line per span, so a worker killed mid-ack leaves every *recorded* span
+  readable.  Each line is a :class:`repro.obs.tracing.SpanRecord` with
+  its ``trace_id`` / ``span_id`` / ``parent_span_id`` set.
+* :func:`build_trace_tree` / :func:`render_trace_tree` — the offline
+  half: assemble one trace's spans (read back with
+  :func:`repro.obs.events.read_jsonl`) into a parent-linked tree.
 
 Sampling is decided once, at mint time, from the trace id's own digest:
 children inherit the root's fate, so a sampled trace is always a whole
@@ -33,19 +33,18 @@ tree and an unsampled one costs nothing downstream.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, Iterator, List, Optional
+from typing import List, Optional
+
+from repro.obs.events import JsonlSink, _jsonable
+from repro.obs.tracing import SpanRecord
 
 __all__ = [
     "WIRE_SCHEMA",
     "TraceContext",
     "TraceLog",
-    "read_trace_spans",
     "build_trace_tree",
     "render_trace_tree",
-    "spans_by_trace",
 ]
 
 # Bumped on any backwards-incompatible change to the wire dict; readers
@@ -120,74 +119,27 @@ class TraceContext:
                    sampled=bool(wire.get("sampled", True)))
 
 
-class TraceLog:
+class TraceLog(JsonlSink):
     """Append-only ``spans.jsonl`` sink for cross-process spans.
 
     Every :meth:`record` writes (and flushes) one sorted-key JSON line,
     so a crash tears at most the final line — which
-    :func:`read_trace_spans` skips, the event log's exact stance.
+    :func:`repro.obs.events.read_jsonl` skips.
     """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._file = open(self.path, "a", encoding="utf-8")
 
     def record(self, name: str, context: TraceContext, seconds: float, *,
                parent_span_id: Optional[str] = None, depth: int = 0,
                start: float = 0.0, **attrs: object) -> dict:
         """Append one completed span under ``context``; returns it."""
-        span = {
-            "name": name,
-            "path": name,
-            "depth": depth,
-            "start": float(start),
-            "seconds": float(seconds),
-            "trace_id": context.trace_id,
-            "span_id": context.span_id,
-        }
-        if parent_span_id is not None:
-            span["parent_span_id"] = parent_span_id
-        if attrs:
-            span["attrs"] = {key: _jsonable(value)
-                             for key, value in attrs.items()}
-        self._file.write(json.dumps(span, sort_keys=True) + "\n")
-        self._file.flush()
+        span = SpanRecord(
+            name=name, path=name, depth=depth, start=float(start),
+            seconds=float(seconds),
+            attrs={key: _jsonable(value) for key, value in attrs.items()},
+            trace_id=context.trace_id, span_id=context.span_id,
+            parent_span_id=parent_span_id,
+        ).as_dict()
+        self.write(span)
         return span
-
-    def close(self) -> None:
-        if self._file is not None:
-            self._file.close()
-            self._file = None
-
-    def __enter__(self) -> "TraceLog":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def _jsonable(value: object) -> object:
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
-
-
-def read_trace_spans(path: str | Path) -> Iterator[dict]:
-    """Stream span dicts back from a ``spans.jsonl`` file.
-
-    Blank and torn (undecodable) lines are skipped, so a log written
-    through a worker kill is readable up to the tear.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield json.loads(line)
-            except json.JSONDecodeError:
-                continue
 
 
 def build_trace_tree(spans: List[dict], trace_id: str) -> List[dict]:
@@ -235,12 +187,3 @@ def render_trace_tree(spans: List[dict], trace_id: str) -> str:
         _walk(root, 1)
     return "\n".join(lines)
 
-
-def spans_by_trace(spans: List[dict]) -> Dict[str, List[dict]]:
-    """Group span dicts by trace id (untraced spans are dropped)."""
-    grouped: Dict[str, List[dict]] = {}
-    for span in spans:
-        trace_id = span.get("trace_id")
-        if isinstance(trace_id, str):
-            grouped.setdefault(trace_id, []).append(span)
-    return grouped

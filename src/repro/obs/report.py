@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.obs.metrics import Gauge, Histogram, MetricsRegistry
-from repro.obs.events import read_events
+from repro.obs.events import read_jsonl
 from repro.obs.propagate import render_trace_tree
 from repro.obs.tracing import aggregate_spans
 
@@ -81,22 +81,18 @@ def _load_flat(directory: Path, telemetry: RunTelemetry,
                group: Optional[str]) -> None:
     events_path = directory / "events.jsonl"
     if events_path.is_file():
-        records = list(read_events(events_path))
+        records = list(read_jsonl(events_path))
         if group is None:
             telemetry.fleet_events = records
         else:
             telemetry.group_events[group] = records
     metrics_path = directory / "metrics.jsonl"
     if metrics_path.is_file():
-        # Same torn-write stance as read_events: a crash mid-dump tears
-        # at most the final line, and the report must still render.
-        snapshots = [record for record in _read_jsonl(metrics_path)
-                     if isinstance(record, dict)]
-        telemetry.metrics.merge(MetricsRegistry.from_snapshot(snapshots))
+        telemetry.metrics.merge(
+            MetricsRegistry.from_snapshot(read_jsonl(metrics_path)))
     spans_path = directory / "spans.jsonl"
     if spans_path.is_file():
-        telemetry.spans.extend(record for record in _read_jsonl(spans_path)
-                               if isinstance(record, dict))
+        telemetry.spans.extend(read_jsonl(spans_path))
     result_path = directory / "result.json"
     if group is not None and result_path.is_file():
         try:
@@ -104,20 +100,6 @@ def _load_flat(directory: Path, telemetry: RunTelemetry,
                 result_path.read_text(encoding="utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError):
             pass
-
-
-def _read_jsonl(path: Path) -> List[object]:
-    """Decode a JSONL file, skipping blank and torn (undecodable) lines."""
-    records: List[object] = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            continue
-    return records
 
 
 # ----------------------------------------------------------------------

@@ -6,26 +6,28 @@ another records the dotted path (``fit/epoch/batch``), so aggregation can
 attribute time per phase the way the paper's Fig. 6 attributes cost per
 method.
 
+:class:`SpanRecord` is the layer's one span schema; the cross-process
+sink :class:`repro.obs.propagate.TraceLog` writes it with trace ids set.
+
 Tracing is **off by default**.  The instrumented call sites stay in the
 hot paths permanently, so the disabled cost is one module-global read and
 the return of a shared no-op context manager — no allocation, no clock
 read (`make obs-overhead` enforces the <3% budget on a seeded trainer
 run).  Enable it explicitly::
 
-    from repro.obs import enable_tracing, disable_tracing, span
+    from repro.obs.tracing import (aggregate_spans, disable_tracing,
+                                   enable_tracing, span)
 
     tracer = enable_tracing(trace_memory=True)
     with span("fit"):
         with span("epoch"):
             ...
     disable_tracing()
-    tracer.aggregate()      # per-path totals
-    tracer.to_jsonl()       # one span per line, for `repro obs report`
+    aggregate_spans(tracer.spans)   # per-path totals
+    tracer.to_jsonl()               # one span per line, for `repro obs report`
 
-``sample_rate`` keeps a fixed deterministic fraction of *root* spans
-(children follow their root's fate, so sampled traces are always whole
-trees): a rate of 0.25 records every fourth root span via an error
-accumulator, not a random draw, so runs are reproducible.
+An enabled tracer records every span; sampling is decided per trace, at
+gateway admission, by :class:`repro.obs.propagate.TraceContext`.
 
 When ``trace_memory=True`` each span also carries the net ``tracemalloc``
 allocation delta over its extent.  The tracer starts ``tracemalloc`` only
@@ -75,14 +77,21 @@ class SpanRecord:
     seconds: float
     memory_kb: Optional[float] = None   # net traced-allocation delta
     attrs: dict = field(default_factory=dict)
+    trace_id: Optional[str] = None      # set on cross-process spans
+    span_id: Optional[str] = None
+    parent_span_id: Optional[str] = None
 
     def as_dict(self) -> dict:
+        """The JSON form; optional fields appear only when set."""
         record = {"name": self.name, "path": self.path, "depth": self.depth,
                   "start": self.start, "seconds": self.seconds}
         if self.memory_kb is not None:
             record["memory_kb"] = self.memory_kb
         if self.attrs:
             record["attrs"] = self.attrs
+        for key in ("trace_id", "span_id", "parent_span_id"):
+            if getattr(self, key) is not None:
+                record[key] = getattr(self, key)
         return record
 
 
@@ -104,31 +113,26 @@ _NULL_SPAN = _NullSpan()
 class _ActiveSpan:
     """Context manager recording one span into its tracer."""
 
-    __slots__ = ("_tracer", "name", "attrs", "_start", "_mem_start",
-                 "_recording")
+    __slots__ = ("_tracer", "name", "attrs", "_start", "_mem_start")
 
-    def __init__(self, tracer: "Tracer", name: str, attrs: dict,
-                 recording: bool):
+    def __init__(self, tracer: "Tracer", name: str, attrs: dict):
         self._tracer = tracer
         self.name = name
         self.attrs = attrs
-        self._recording = recording
         self._start = 0.0
         self._mem_start = 0
 
     def __enter__(self) -> "_ActiveSpan":
         tracer = self._tracer
         tracer._stack.append(self)
-        if self._recording:
-            if tracer.trace_memory:
-                self._mem_start = tracemalloc.get_traced_memory()[0]
-            self._start = time.perf_counter()  # effects: ok TIME reason=span duration is telemetry, never model input
+        if tracer.trace_memory:
+            self._mem_start = tracemalloc.get_traced_memory()[0]
+        self._start = time.perf_counter()  # effects: ok TIME reason=span duration is telemetry, never model input
         return self
 
     def __exit__(self, *exc_info) -> bool:
         tracer = self._tracer
-        elapsed = (time.perf_counter() - self._start if self._recording  # effects: ok TIME reason=span duration is telemetry, never model input
-                   else 0.0)
+        elapsed = time.perf_counter() - self._start  # effects: ok TIME reason=span duration is telemetry, never model input
         stack = tracer._stack
         if stack and stack[-1] is self:
             stack.pop()
@@ -137,32 +141,26 @@ class _ActiveSpan:
                 stack.remove(self)
             except ValueError:
                 pass
-        if self._recording:
-            memory_kb = None
-            if tracer.trace_memory:
-                mem_now = tracemalloc.get_traced_memory()[0]
-                memory_kb = (mem_now - self._mem_start) / 1024.0
-            path = "/".join([frame.name for frame in stack
-                             if frame._recording] + [self.name])
-            tracer.spans.append(SpanRecord(
-                name=self.name, path=path, depth=len(stack),
-                start=self._start, seconds=elapsed, memory_kb=memory_kb,
-                attrs=self.attrs,
-            ))
+        memory_kb = None
+        if tracer.trace_memory:
+            mem_now = tracemalloc.get_traced_memory()[0]
+            memory_kb = (mem_now - self._mem_start) / 1024.0
+        path = "/".join([frame.name for frame in stack] + [self.name])
+        tracer.spans.append(SpanRecord(
+            name=self.name, path=path, depth=len(stack),
+            start=self._start, seconds=elapsed, memory_kb=memory_kb,
+            attrs=self.attrs,
+        ))
         return False
 
 
 class Tracer:
     """Collects :class:`SpanRecord` entries for one tracing session."""
 
-    def __init__(self, sample_rate: float = 1.0, trace_memory: bool = False):
-        if not 0.0 <= sample_rate <= 1.0:
-            raise ValueError("sample_rate must be in [0, 1]")
-        self.sample_rate = sample_rate
+    def __init__(self, trace_memory: bool = False):
         self.trace_memory = trace_memory
         self.spans: List[SpanRecord] = []
         self._stack: List[_ActiveSpan] = []
-        self._accumulator = 0.0
         self._started_tracemalloc = False
 
     # -- lifecycle -----------------------------------------------------
@@ -180,19 +178,7 @@ class Tracer:
 
     # -- span creation -------------------------------------------------
     def span(self, name: str, attrs: Optional[dict] = None) -> _ActiveSpan:
-        if self._stack:
-            recording = self._stack[-1]._recording
-        else:
-            recording = self._sample()
-        return _ActiveSpan(self, name, attrs or {}, recording)
-
-    def _sample(self) -> bool:
-        """Deterministic stride sampling of root spans."""
-        self._accumulator += self.sample_rate
-        if self._accumulator >= 1.0 - 1e-12:
-            self._accumulator -= 1.0
-            return True
-        return False
+        return _ActiveSpan(self, name, attrs or {})
 
     # -- export --------------------------------------------------------
     def to_jsonl(self) -> str:
@@ -204,10 +190,6 @@ class Tracer:
         from repro.nn.serialization import atomic_replace
 
         atomic_replace(path, self.to_jsonl().encode("utf-8"))
-
-    def aggregate(self) -> Dict[str, dict]:
-        """Per-path totals: count, wall seconds, net allocation."""
-        return aggregate_spans(self.spans)
 
 
 def aggregate_spans(spans) -> Dict[str, dict]:
@@ -237,14 +219,12 @@ def span(name: str, **attrs: object):
     return tracer.span(name, attrs if attrs else None)
 
 
-def enable_tracing(sample_rate: float = 1.0,
-                   trace_memory: bool = False) -> Tracer:
+def enable_tracing(trace_memory: bool = False) -> Tracer:
     """Install and start a fresh :class:`Tracer`; returns it."""
     global _TRACER
     if _TRACER is not None:
         _TRACER.stop()
-    _TRACER = Tracer(sample_rate=sample_rate,
-                     trace_memory=trace_memory).start()
+    _TRACER = Tracer(trace_memory=trace_memory).start()
     return _TRACER  # effects: ok FORK_GLOBAL reason=swap point by design; workers enable their own tracer
 
 

@@ -9,7 +9,7 @@ from repro.obs.events import (
     emit,
     get_event_log,
     install_event_log,
-    read_events,
+    read_jsonl,
 )
 
 
@@ -67,7 +67,7 @@ class TestFileBackedLog:
         with EventLog(path) as log:
             log.emit("epoch", epoch=0, loss=1.0)
             log.emit("retry", group="g0", backoff_seconds=0.5)
-        records = list(read_events(path))
+        records = list(read_jsonl(path))
         assert [r["kind"] for r in records] == ["epoch", "retry"]
         assert all(r["schema"] == SCHEMA_VERSION for r in records)
 
@@ -76,7 +76,8 @@ class TestFileBackedLog:
         with EventLog(path) as log:
             log.emit("epoch", epoch=0)
             log.emit("retry", group="g0")
-        assert [r["kind"] for r in read_events(path, kind="retry")] == ["retry"]
+        retries = [r for r in read_jsonl(path) if r["kind"] == "retry"]
+        assert retries == log.events("retry")
 
     def test_reopening_appends(self, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -84,7 +85,7 @@ class TestFileBackedLog:
             log.emit("epoch", epoch=0)
         with EventLog(path) as log:
             log.emit("epoch", epoch=1)
-        assert len(list(read_events(path))) == 2
+        assert len(list(read_jsonl(path))) == 2
 
     def test_torn_final_line_is_skipped(self, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -93,13 +94,13 @@ class TestFileBackedLog:
             log.emit("epoch", epoch=1)
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"schema": 1, "seq": 2, "kind": "ep')  # the crash
-        records = list(read_events(path))
+        records = list(read_jsonl(path))
         assert [r["epoch"] for r in records] == [0, 1]
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "events.jsonl"
         path.write_text('\n{"schema": 1, "seq": 0, "kind": "epoch"}\n\n')
-        assert len(list(read_events(path))) == 1
+        assert len(list(read_jsonl(path))) == 1
 
 
 class TestModuleLevelEmit:

@@ -203,8 +203,8 @@ class TestExemplars:
         histogram = Histogram("h")
         histogram.observe(0.004, exemplar="trace-a")
         histogram.observe(0.4, exemplar="trace-d")
-        restored = MetricsRegistry.from_jsonl(
-            json.dumps(histogram.snapshot()))
+        restored = MetricsRegistry.from_snapshot(
+            [json.loads(json.dumps(histogram.snapshot()))])
         series = restored.collect("h")[0]
         assert series.worst_exemplar() == {"value": 0.4,
                                            "trace_id": "trace-d"}
@@ -271,7 +271,8 @@ class TestRegistry:
         for value in (0.01, 0.02, 0.4):
             histogram.observe(value)
         registry.counter("hits").inc(3)
-        restored = MetricsRegistry.from_jsonl(registry.to_jsonl())
+        restored = MetricsRegistry.from_snapshot(
+            json.loads(line) for line in registry.to_jsonl().splitlines())
         hist2 = restored.get("lat", service="s")
         assert hist2.count == 3
         assert hist2.total == pytest.approx(0.43)

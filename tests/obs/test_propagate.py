@@ -9,10 +9,9 @@ from repro.obs.propagate import (
     TraceContext,
     TraceLog,
     build_trace_tree,
-    read_trace_spans,
     render_trace_tree,
-    spans_by_trace,
 )
+from repro.obs.events import read_jsonl
 
 
 class TestTraceContext:
@@ -84,7 +83,7 @@ class TestTraceLog:
             child = context.child("worker.update")
             log.record("worker.update", child, 0.001,
                        parent_span_id=context.span_id, depth=1)
-        spans = list(read_trace_spans(path))
+        spans = list(read_jsonl(path))
         assert [s["name"] for s in spans] == ["gateway.submit",
                                               "worker.update"]
         assert spans[1]["parent_span_id"] == spans[0]["span_id"]
@@ -96,7 +95,7 @@ class TestTraceLog:
         for _ in range(2):  # two incarnations, one file
             with TraceLog(path) as log:
                 log.record("worker.update", context, 0.001)
-        assert len(list(read_trace_spans(path))) == 2
+        assert len(list(read_jsonl(path))) == 2
 
     def test_torn_final_line_skipped(self, tmp_path):
         path = tmp_path / "spans.jsonl"
@@ -105,8 +104,31 @@ class TestTraceLog:
             log.record("gateway.submit", context, 0.002)
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"name": "worker.update", "tr')  # kill mid-write
-        spans = list(read_trace_spans(path))
+        spans = list(read_jsonl(path))
         assert [s["name"] for s in spans] == ["gateway.submit"]
+
+    def test_lines_are_span_records_with_pinned_bytes(self, tmp_path):
+        path = tmp_path / "spans.jsonl"
+        context = TraceContext.mint(0, "svc-0", 1)
+        with TraceLog(path) as log:
+            log.record("gateway.submit", context, 0.002, service="svc-0",
+                       sequence=1, shard="shard-0", degraded=False)
+            log.record("worker.update",
+                       context.child("worker.update", qualifier="0:1"),
+                       0.001, parent_span_id=context.span_id, depth=1)
+        # Existing run directories and readers depend on this line format:
+        # sorted keys, and optional SpanRecord fields only when set.
+        assert path.read_text(encoding="utf-8").splitlines() == [
+            '{"attrs": {"degraded": false, "sequence": 1, "service": '
+            '"svc-0", "shard": "shard-0"}, "depth": 0, "name": '
+            '"gateway.submit", "path": "gateway.submit", "seconds": 0.002, '
+            '"span_id": "db739f3d6113", "start": 0.0, "trace_id": '
+            '"4521520ea7f49c64"}',
+            '{"depth": 1, "name": "worker.update", "parent_span_id": '
+            '"db739f3d6113", "path": "worker.update", "seconds": 0.001, '
+            '"span_id": "bf99520f5fea", "start": 0.0, "trace_id": '
+            '"4521520ea7f49c64"}',
+        ]
 
     def test_non_jsonable_attrs_coerced(self, tmp_path):
         path = tmp_path / "spans.jsonl"
@@ -115,7 +137,7 @@ class TestTraceLog:
             span = log.record("gateway.submit", context, 0.0,
                               where=tmp_path)
         assert span["attrs"]["where"] == str(tmp_path)
-        assert list(read_trace_spans(path))  # round-trips
+        assert list(read_jsonl(path))  # round-trips
 
 
 class TestTreeAssembly:
@@ -157,10 +179,3 @@ class TestTreeAssembly:
         assert "[replay=True]" in text
         assert render_trace_tree([], "feedbeef").endswith(
             "no spans recorded")
-
-    def test_spans_by_trace_groups_and_drops_untraced(self):
-        root, spans = self._spans()
-        grouped = spans_by_trace(spans + [{"name": "loose"}])
-        assert set(grouped) == {root.trace_id,
-                                spans[-1]["trace_id"]}
-        assert len(grouped[root.trace_id]) == 3

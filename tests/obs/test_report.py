@@ -10,8 +10,9 @@ import json
 
 import pytest
 
-from repro.obs.events import EventLog
+from repro.obs.events import EventLog, read_jsonl
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.propagate import TraceContext, TraceLog
 from repro.obs.report import load_run, render_report
 
 
@@ -122,9 +123,30 @@ class TestFlatRun:
         assert "phase breakdown" in report
 
 
+def _events_file(path):
+    with EventLog(path, clock=lambda: 0.0) as log:
+        log.emit("epoch", epoch=0, loss=1.0)
+        log.emit("retry", group="g0", attempt=1, backoff_seconds=0.05)
+
+
+def _metrics_file(path):
+    registry = MetricsRegistry()
+    registry.counter("gateway.accepted").inc(7)
+    registry.histogram("gateway.ack_seconds").observe(0.004)
+    registry.dump(path)
+
+
+def _spans_file(path):
+    context = TraceContext.mint(0, "svc-0", 1)
+    with TraceLog(path) as log:
+        log.record("gateway.submit", context, 0.002, service="svc-0")
+        log.record("worker.update", context.child("worker.update"), 0.001,
+                   parent_span_id=context.span_id, depth=1)
+
+
 class TestTornFinalLines:
-    """metrics.jsonl and spans.jsonl get the event log's torn-write
-    stance: a process killed mid-dump must not take the report down."""
+    """Every telemetry file gets one torn-write stance: a process killed
+    mid-write must not take the reader, or the report, down."""
 
     def test_torn_metrics_line_skipped(self, tmp_path):
         registry = MetricsRegistry()
@@ -146,6 +168,27 @@ class TestTornFinalLines:
         telemetry = load_run(tmp_path)
         assert len(telemetry.spans) == 1
         assert "phase breakdown" in render_report(tmp_path)
+
+    @pytest.mark.parametrize("name, write", [
+        pytest.param("events.jsonl", _events_file, id="events"),
+        pytest.param("metrics.jsonl", _metrics_file, id="metrics"),
+        pytest.param("spans.jsonl", _spans_file, id="spans"),
+    ])
+    def test_read_jsonl_skips_blank_and_torn_lines(self, tmp_path, name,
+                                                   write):
+        path = tmp_path / name
+        write(path)
+        written = [json.loads(line) for line in
+                   path.read_text(encoding="utf-8").splitlines()]
+        with open(path, "a", encoding="utf-8") as handle:
+            # A blank line, a non-object line, then the crash mid-write.
+            handle.write('\n[1, 2]\n\n{"name": "gateway.ack_seco')
+        assert len(written) == 2
+        assert list(read_jsonl(path)) == written
+        telemetry = load_run(tmp_path)
+        assert (len(telemetry.fleet_events) + len(telemetry.spans)
+                + len(telemetry.metrics.snapshot())) == 2
+        render_report(tmp_path)  # and the renderer stays up
 
 
 class TestRealFleetRun:

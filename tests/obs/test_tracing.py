@@ -1,4 +1,4 @@
-"""Span tracing: disabled path, nesting, sampling, memory, op profiling."""
+"""Span tracing: disabled path, nesting, memory, op profiling."""
 
 import json
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import (
-    Tracer,
     aggregate_spans,
     current_tracer,
     disable_tracing,
@@ -100,43 +99,6 @@ class TestRecording:
         assert {d["path"] for d in decoded} == {"fit", "fit/epoch"}
         for d in decoded:
             assert set(d) >= {"name", "path", "depth", "start", "seconds"}
-
-
-class TestSampling:
-    def test_zero_rate_records_nothing(self):
-        enable_tracing(sample_rate=0.0)
-        for _ in range(20):
-            with span("root"):
-                pass
-        assert disable_tracing().spans == []
-
-    def test_half_rate_records_every_other_root(self):
-        enable_tracing(sample_rate=0.5)
-        for _ in range(10):
-            with span("root"):
-                with span("child"):
-                    pass
-        tracer = disable_tracing()
-        roots = [r for r in tracer.spans if r.path == "root"]
-        children = [r for r in tracer.spans if r.path == "root/child"]
-        # Deterministic error-accumulator sampling: exactly half, and a
-        # skipped root also skips its children.
-        assert len(roots) == 5
-        assert len(children) == 5
-
-    def test_sampling_is_deterministic(self):
-        def run():
-            enable_tracing(sample_rate=0.3)
-            for index in range(10):
-                with span("root", index=index):
-                    pass
-            return [r.attrs["index"] for r in disable_tracing().spans]
-
-        assert run() == run()
-
-    def test_invalid_rate_rejected(self):
-        with pytest.raises(ValueError):
-            Tracer(sample_rate=1.5)
 
 
 class TestAggregate:

@@ -14,8 +14,7 @@ import json
 
 import pytest
 
-from repro.obs.events import read_events
-from repro.obs.propagate import read_trace_spans
+from repro.obs.events import read_jsonl
 from repro.runtime import (
     FaultInjector,
     GatewayConfig,
@@ -136,7 +135,7 @@ class TestChaosServe:
             tmp_path, kills=[("svc-0", 20)])
         assert report.accepted == TOTAL
         kinds = [record["kind"]
-                 for record in read_events(tmp_path / "events.jsonl")]
+                 for record in read_jsonl(tmp_path / "events.jsonl")]
         assert "worker_spawn" in kinds
         assert "worker_ready" in kinds
         assert "worker_failover" in kinds
@@ -154,7 +153,7 @@ class TestChaosServe:
         assert report.accepted == TOTAL
 
         submit_spans = {}                      # (service, sequence) -> span
-        for span in read_trace_spans(tmp_path / "spans.jsonl"):
+        for span in read_jsonl(tmp_path / "spans.jsonl"):
             if span["name"] == "gateway.submit":
                 attrs = span["attrs"]
                 key = (attrs["service"], int(attrs["sequence"]))
@@ -166,7 +165,7 @@ class TestChaosServe:
         for shard_id, shard in status["shards"].items():
             if shard["respawns"]:
                 killed_shard = shard_id
-            for span in read_trace_spans(tmp_path / shard_id / "spans.jsonl"):
+            for span in read_jsonl(tmp_path / shard_id / "spans.jsonl"):
                 assert span["name"] == "worker.update"
                 attrs = span["attrs"]
                 key = (attrs["service"], int(attrs["sequence"]))
