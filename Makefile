@@ -15,7 +15,7 @@ export PYTHONPATH := src
 check: lint analyze det-check test obs-overhead bench-obs-trace
 
 lint:
-	$(PYTHON) -m repro.analysis.lint
+	$(PYTHON) -m repro lint
 
 # Abstract interpretation of every shipped model graph; any finding not in
 # analysis_baseline.json (errors: ever) fails the build.
@@ -92,7 +92,7 @@ bench-serving:
 
 help:
 	@echo "make check            - lint + analyze + det-check + tests (incl. chaos/drill) + obs gates (tier-1)"
-	@echo "make lint             - repo linter (repro.analysis.lint)"
+	@echo "make lint             - repo linter (python -m repro lint)"
 	@echo "make analyze          - static model-graph analyzer vs committed baseline"
 	@echo "make analyze-baseline - re-accept current analyzer warnings"
 	@echo "make det-check        - determinism/effect analyzer vs det_baseline.json"

@@ -11,7 +11,7 @@ Two jobs, merged into ``BENCH_obs.json`` as a ``"trace"`` section:
    build at the same budget.
 
 2. **Trace-primitive microbenches.**  Per-op cost of the propagation
-   hot path — ``TraceContext.mint`` (blake2b ids + sampling decision),
+   hot path — ``TraceContext.mint`` (the two blake2b ids),
    ``child`` span derivation, ``to_wire``/``from_wire`` codec, and
    ``Histogram.observe`` with and without an exemplar — so the perf
    trajectory records what a traced submit actually adds per request.

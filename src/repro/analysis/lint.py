@@ -1,9 +1,8 @@
 """AST-based repository linter with repo-specific correctness rules.
 
-Run as ``python -m repro.analysis.lint [paths...]`` (or ``repro lint``).
-With no paths it lints the defaults from ``pyproject.toml``'s
-``[tool.repro.lint]`` table, falling back to ``src tests benchmarks
-examples``.  Exit status is 0 when clean, 1 when any rule fired.
+Run as ``repro lint [paths...]`` (or ``python -m repro lint``).  With
+no paths it lints whichever of ``src tests benchmarks examples`` exist.
+Exit status is 0 when clean, 1 when any rule fired.
 
 Rules
 -----
@@ -881,31 +880,14 @@ def lint_paths(paths: Sequence[str],
     return violations
 
 
-def _default_paths() -> List[str]:
-    """Paths from ``[tool.repro.lint] paths`` in pyproject.toml, if present."""
-    pyproject = Path("pyproject.toml")
-    if pyproject.is_file():
-        try:
-            import tomllib
-        except ImportError:  # pragma: no cover - python < 3.11
-            tomllib = None
-        if tomllib is not None:
-            config = tomllib.loads(pyproject.read_text(encoding="utf-8"))
-            configured = (config.get("tool", {}).get("repro", {})
-                          .get("lint", {}).get("paths"))
-            if configured:
-                return [p for p in configured if Path(p).exists()]
-    return [p for p in DEFAULT_PATHS if Path(p).exists()]
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.analysis.lint",
         description="repo-specific AST lint (reproducibility + tape safety)",
     )
     parser.add_argument("paths", nargs="*",
-                        help="files or directories (default: [tool.repro.lint] "
-                             "paths, else src tests benchmarks examples)")
+                        help="files or directories (default: src tests "
+                             "benchmarks examples)")
     parser.add_argument("--select", nargs="+", metavar="CODE",
                         help="only report these rule codes")
     parser.add_argument("--list-rules", action="store_true",
@@ -924,7 +906,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                   f"available: {', '.join(sorted(RULES))}", file=sys.stderr)
             return 2
 
-    paths = args.paths or _default_paths()
+    paths = args.paths or [p for p in DEFAULT_PATHS if Path(p).exists()]
     if not paths:
         print("no lintable paths found", file=sys.stderr)  # noqa: REP109 - lint's own CLI output
         return 2

@@ -17,7 +17,8 @@ Commands
 ``analyze-data``
     Dataset diagnostics: diversity, anomaly composition, recommended window.
 ``lint``
-    Repository lint (``repro.analysis.lint``) over the configured paths.
+    Repository lint (``repro.analysis.lint``) over ``src tests benchmarks
+    examples``.
 ``check-model``
     Statically validate the MACE architecture's shape/dtype contracts.
 ``chaos``
@@ -106,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser("lint", help="run the repository linter")
     lint.add_argument("paths", nargs="*",
-                      help="files/directories (default: configured paths)")
+                      help="files/directories (default: src tests "
+                           "benchmarks examples)")
     lint.add_argument("--select", nargs="+", metavar="RULE",
                       help="only check the given rule codes")
     lint.add_argument("--list-rules", action="store_true",

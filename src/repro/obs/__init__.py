@@ -25,8 +25,8 @@ reproduction measures it from the inside (DESIGN.md §11):
     artifacts alone.
 ``repro.obs.propagate``
     Cross-process trace propagation: the deterministic
-    :class:`TraceContext` minted at gateway admission (the layer's only
-    sampling policy), the wire format that rides WAL frames and worker
+    :class:`TraceContext` minted for every update at gateway admission,
+    the wire format that rides WAL frames and worker
     IPC, and the ``spans.jsonl`` trace sink with offline tree assembly.
 ``repro.obs.slo``
     Declarative SLOs over the streaming metrics: error budgets,

@@ -226,7 +226,8 @@ class Histogram:
     """
 
     __slots__ = ("name", "labels", "bounds", "bucket_counts", "count",
-                 "total", "min", "max", "exemplars", "_estimators")
+                 "total", "min", "max", "exemplars", "_levels",
+                 "_estimators")
     kind = "histogram"
 
     def __init__(self, name: str, labels: Tuple[Tuple[str, str], ...] = (),
@@ -245,8 +246,9 @@ class Histogram:
         # bucket index -> {"value": worst observation, "trace_id": its
         # trace}; empty until an exemplar-carrying observation arrives.
         self.exemplars: Dict[int, dict] = {}
+        self._levels = tuple(sorted(float(q) for q in quantiles))
         self._estimators: Optional[Dict[float, P2Quantile]] = {
-            float(q): P2Quantile(q) for q in quantiles
+            q: P2Quantile(q) for q in self._levels
         }
 
     def observe(self, value: float,
@@ -284,13 +286,23 @@ class Histogram:
         return self.total / self.count if self.count else float("nan")
 
     def quantile(self, q: float) -> float:
-        """P² estimate when available, bucket interpolation after a merge."""
+        """P² estimate when available, bucket interpolation after a merge.
+
+        Independent P² estimators can cross, so the answer is the running
+        max over ``q`` and every tracked quantile below it, kept inside
+        the observed ``[min, max]``: p99 never reads below p50.
+        """
         if self.count == 0:
             return float("nan")
-        if self._estimators is not None:
-            estimator = self._estimators.get(float(q))
-            if estimator is not None:
-                return estimator.value()
+        q = float(q)
+        running = max([self.min, self._raw_quantile(q)]
+                      + [self._raw_quantile(level)
+                         for level in self._levels if level < q])
+        return min(running, self.max)
+
+    def _raw_quantile(self, q: float) -> float:
+        if self._estimators is not None and q in self._estimators:
+            return self._estimators[q].value()
         return self._bucket_quantile(q)
 
     def _bucket_quantile(self, q: float) -> float:
@@ -336,12 +348,8 @@ class Histogram:
     def snapshot(self) -> dict:
         quantiles = {}
         if self.count:
-            # Independent P² estimators can cross; report the running max
-            # in ascending q, kept inside the observed [min, max].
-            running = self.min
             for q in sorted(DEFAULT_QUANTILES):
-                running = min(max(self.quantile(q), running), self.max)
-                quantiles[f"p{int(q * 100)}"] = running
+                quantiles[f"p{int(q * 100)}"] = self.quantile(q)
         snap = {
             "kind": self.kind, "name": self.name,
             "labels": dict(self.labels),

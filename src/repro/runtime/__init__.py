@@ -27,6 +27,9 @@ needs:
     :class:`FleetOrchestrator` — multiprocess fleet training with
     per-task timeouts, retry + backoff, crash resume, and a structured
     :class:`FleetReport` instead of fail-fast aborts.
+``repro.runtime.supervise``
+    The start-method, SIGTERM→SIGKILL and seeded-backoff policies the
+    orchestrator and the gateway share.
 ``repro.runtime.remediation``
     Closed-loop remediation: a controller that diagnoses breaker trips
     (data quality vs. model staleness vs. anomaly storm), applies typed

@@ -54,10 +54,20 @@ from repro.runtime.gateway.admission import (
 from repro.runtime.gateway.hashring import ConsistentHashRing
 from repro.runtime.gateway.wal import ENTRY_SCHEMA, WriteAheadLog, read_wal
 from repro.runtime.gateway.worker import run_shard_worker
+from repro.runtime.supervise import (
+    TERM_GRACE,
+    Backoff,
+    process_context,
+    terminate,
+)
 
 __all__ = ["GatewayError", "GatewayConfig", "SubmitResult", "ServingGateway"]
 
 _DEFAULT_TENANT = "default"
+# Seconds a fresh worker has to say hello (plus any injected slow start).
+_SPAWN_TIMEOUT = 30.0
+# Respawns per shard before the gateway gives up with GatewayError.
+_MAX_RESPAWNS = 5
 
 
 class GatewayError(RuntimeError):
@@ -78,9 +88,6 @@ class GatewayConfig:
     segment_bytes: int = 256 * 1024  # WAL rotation size
     snapshot_every: int = 128       # worker snapshot cadence (applies)
     ack_timeout: float = 10.0       # per-update worker ack deadline
-    spawn_timeout: float = 30.0     # worker hello deadline
-    term_grace: float = 5.0         # SIGTERM→SIGKILL escalation window
-    max_respawns: int = 5           # per shard, then GatewayError
     backoff_base: float = 0.05      # seconds; doubles per respawn
     backoff_cap: float = 2.0
     backoff_jitter: float = 0.25    # +[0, jitter] fraction, seeded draw
@@ -89,21 +96,14 @@ class GatewayConfig:
     degrade_at: float = 0.80
     refuse_at: float = 0.95
     hysteresis: float = 0.10
-    start_method: Optional[str] = None  # None: "fork" if available
-    trace_sample: float = 1.0       # deterministic trace sampling rate;
-    #                               # 0 disables minting entirely
 
     def __post_init__(self):
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
-        if self.ack_timeout <= 0 or self.spawn_timeout <= 0:
-            raise ValueError("timeouts must be positive")
-        if self.max_respawns < 1:
-            raise ValueError("max_respawns must be >= 1")
-        if not 0.0 <= self.trace_sample <= 1.0:
-            raise ValueError("trace_sample must be in [0, 1]")
+        if self.ack_timeout <= 0:
+            raise ValueError("ack_timeout must be positive")
 
 
 @dataclass(frozen=True)
@@ -193,14 +193,11 @@ class ServingGateway:
             [f"w{i}" for i in range(self.config.workers)],
             replicas=self.config.replicas, seed=self.config.seed,
         )
-        method = self.config.start_method
-        if method is None:
-            available = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in available else "spawn"
-        self._context = multiprocessing.get_context(method)
-        self._backoff_rng = np.random.default_rng(
-            np.random.SeedSequence([self.config.seed & 0xFFFFFFFF, 0x6A7E])
-        )
+        self._context = process_context()
+        self._backoff = Backoff(self.config.seed, 0x6A7E,
+                                self.config.backoff_base,
+                                self.config.backoff_cap,
+                                self.config.backoff_jitter)
         self.registry = get_registry()
         self._events: Optional[EventLog] = None
         self._traces: Optional[TraceLog] = None
@@ -224,8 +221,7 @@ class ServingGateway:
             raise GatewayError("gateway already started")
         self.directory.mkdir(parents=True, exist_ok=True)
         self._events = EventLog(self.directory / "events.jsonl")
-        if self.config.trace_sample > 0.0:
-            self._traces = TraceLog(self.directory / "spans.jsonl")
+        self._traces = TraceLog(self.directory / "spans.jsonl")
         assignment = self.ring.shards(sorted(self.services))
         self._shard_of = {sid: shard_id
                           for shard_id, sids in assignment.items()
@@ -300,7 +296,7 @@ class ServingGateway:
             shard.conn.send({"op": "stop"})
             await self._await_reply(shard, ("bye",), self.config.ack_timeout)
             if shard.process is not None:
-                shard.process.join(self.config.term_grace)
+                shard.process.join(TERM_GRACE)
             self._reap_process(shard)
             shard.wal.close()
         self.registry.dump(self.directory / "metrics.jsonl")
@@ -382,24 +378,20 @@ class ServingGateway:
             return self._reject(service_id, sequence, tenant, "backpressure")
 
         degraded = state is OverloadState.DEGRADED
-        context = None
-        if self.config.trace_sample > 0.0:
-            context = TraceContext.mint(self.config.seed, service_id,
-                                        sequence, self.config.trace_sample)
+        context = TraceContext.mint(self.config.seed, service_id, sequence)
+        # WAL entry schema 2: the trace context rides the frame so a
+        # post-failover replay re-parents under the original trace.
+        # Schema-1 frames (pre-trace) simply lack both keys and replay
+        # untraced.
         entry = {
             "service": service_id,
             "sequence": sequence,
             "observation": np.asarray(observation,
                                       dtype=float).reshape(-1).tolist(),
             "degraded": degraded,
+            "schema": ENTRY_SCHEMA,
+            "trace": context.to_wire(),
         }
-        if context is not None:
-            # WAL entry schema 2: the trace context rides the frame so a
-            # post-failover replay re-parents under the original trace.
-            # Schema-1 frames (pre-trace) simply lack both keys and
-            # replay untraced.
-            entry["schema"] = ENTRY_SCHEMA
-            entry["trace"] = context.to_wire()
         lsn = shard.wal.append(entry)
         self.registry.counter("gateway.wal_appends",
                               shard=shard.shard_id).inc()
@@ -415,12 +407,9 @@ class ServingGateway:
         self.registry.gauge("gateway.queue_depth",
                             shard=shard.shard_id).set(shard.queue.qsize())
         elapsed = time.perf_counter() - started
-        exemplar = (context.trace_id
-                    if context is not None and context.sampled else None)
         self.registry.histogram("gateway.ack_seconds").observe(
-            elapsed, exemplar=exemplar)
-        if context is not None and context.sampled \
-                and self._traces is not None:
+            elapsed, exemplar=context.trace_id)
+        if self._traces is not None:
             self._traces.record("gateway.submit", context, elapsed,
                                 service=service_id, sequence=sequence,
                                 shard=shard.shard_id, degraded=degraded)
@@ -486,12 +475,10 @@ class ServingGateway:
             except asyncio.QueueEmpty:
                 await asyncio.sleep(0.001)
                 continue
-            context = TraceContext.from_wire(entry.get("trace"))
             self.registry.histogram(
                 "gateway.queue_wait_seconds", shard=shard.shard_id,
             ).observe(time.perf_counter() - enqueued_at,
-                      exemplar=(context.trace_id if context is not None
-                                and context.sampled else None))
+                      exemplar=entry["trace"]["trace_id"])
             shard.in_flight = True
             try:
                 await self._deliver(shard, entry)
@@ -564,10 +551,10 @@ class ServingGateway:
                    respawns=shard.respawns)
         while True:
             shard.respawns += 1
-            if shard.respawns > self.config.max_respawns:
+            if shard.respawns > _MAX_RESPAWNS:
                 raise GatewayError(
                     f"shard {shard.shard_id}: respawn budget "
-                    f"({self.config.max_respawns}) exhausted after {reason}"
+                    f"({_MAX_RESPAWNS}) exhausted after {reason}"
                 )
             self._terminate(shard)
             await asyncio.sleep(self._backoff(shard.respawns))
@@ -591,8 +578,7 @@ class ServingGateway:
             "snapshot_every": self.config.snapshot_every,
             "slow_start": shard.slow_start,
             "die_after_applies": shard.pending_die_after,
-            "trace_path": (str(shard.snapshot_path.parent / "spans.jsonl")
-                           if self.config.trace_sample > 0.0 else None),
+            "trace_path": str(shard.snapshot_path.parent / "spans.jsonl"),
             "incarnation": shard.respawns,
         }
         process = self._context.Process(
@@ -608,8 +594,7 @@ class ServingGateway:
         self._emit("worker_spawn", shard=shard.shard_id,
                    respawns=shard.respawns, slow_start=shard.slow_start)
         hello = await self._await_reply(
-            shard, ("hello",),
-            self.config.spawn_timeout + shard.slow_start)
+            shard, ("hello",), _SPAWN_TIMEOUT + shard.slow_start)
         if hello is None:
             raise _WorkerDied(f"shard {shard.shard_id}: no hello")
         await self._replay(shard, hello["applied"])
@@ -646,32 +631,21 @@ class ServingGateway:
                    wal_records=len(records))
 
     def _terminate(self, shard: _Shard) -> None:
-        process = shard.process
-        if process is None:
+        if shard.process is None:
             return
-        if process.is_alive():
-            process.terminate()
-            process.join(self.config.term_grace)
-            if process.is_alive():
-                process.kill()
-                process.join(self.config.term_grace)
+        if shard.process.is_alive():
+            terminate(shard.process)
         self._reap_process(shard)
 
     def _reap_process(self, shard: _Shard) -> None:
         if shard.process is not None:
-            shard.process.join(self.config.term_grace)
+            shard.process.join(TERM_GRACE)
             if not shard.process.is_alive():
                 shard.process.close()
                 shard.process = None
         if shard.conn is not None:
             shard.conn.close()
             shard.conn = None
-
-    def _backoff(self, failed_attempts: int) -> float:
-        delay = self.config.backoff_base * (2.0 ** (failed_attempts - 1))
-        delay = min(delay, self.config.backoff_cap)
-        jitter = self.config.backoff_jitter * float(self._backoff_rng.random())
-        return delay * (1.0 + jitter)
 
     def kill_worker(self, shard_id: str) -> None:
         """SIGKILL a shard's worker (chaos hook); dispatch will fail over
@@ -680,7 +654,7 @@ class ServingGateway:
         shard = self._shards[shard_id]
         if shard.process is not None and shard.process.is_alive():
             shard.process.kill()
-            shard.process.join(self.config.term_grace)
+            shard.process.join(TERM_GRACE)
 
     # ------------------------------------------------------------------
     # Introspection / verification

@@ -38,6 +38,9 @@ from repro.runtime.gateway.gateway import ServingGateway
 __all__ = ["ZScoreDetector", "TrafficConfig", "TrafficReport",
            "make_fleet_series", "run_traffic"]
 
+_RETRY_FLOOR = 0.005    # min sleep between retries, seconds
+_DELAY_TICK = 0.01      # one `deliver_delayed` delay unit, seconds
+
 
 class ZScoreDetector(AnomalyDetector):
     """Cheap deterministic per-feature z-score scorer (picklable)."""
@@ -93,8 +96,6 @@ class TrafficConfig:
     updates_per_service: int = 100
     seed: int = 0
     max_attempts: int = 1000        # per update, before giving up loudly
-    retry_floor: float = 0.005      # min sleep between retries, seconds
-    delay_tick: float = 0.01        # one `deliver_delayed` delay unit
 
     def __post_init__(self):
         if self.updates_per_service < 1:
@@ -173,7 +174,7 @@ async def _drive_service(gateway: ServingGateway, service_id: str,
             if fault.kind == "deliver_delayed":
                 report.faults_fired["deliver_delayed"] = \
                     report.faults_fired.get("deliver_delayed", 0) + 1
-                await asyncio.sleep(fault.delay_updates * config.delay_tick)
+                await asyncio.sleep(fault.delay_updates * _DELAY_TICK)
             elif fault.kind == "deliver_dropped":
                 # The first transmission vanishes in the network; the
                 # at-least-once client simply sends again.
@@ -208,8 +209,7 @@ async def _drive_service(gateway: ServingGateway, service_id: str,
                 report.retries += 1
                 report.rejections[result.reason] = \
                     report.rejections.get(result.reason, 0) + 1
-                await asyncio.sleep(max(result.retry_after,
-                                        config.retry_floor))
+                await asyncio.sleep(max(result.retry_after, _RETRY_FLOOR))
     report.final_sequence[service_id] = gateway.accepted_sequence(service_id)
 
 

@@ -55,6 +55,12 @@ from repro.obs.events import EventLog, install_event_log
 from repro.obs.metrics import MetricsRegistry, get_registry, install_registry
 from repro.obs.tracing import disable_tracing, enable_tracing, profile_ops
 from repro.runtime.faults import WorkerFault
+from repro.runtime.supervise import (
+    TERM_GRACE,
+    Backoff,
+    process_context,
+    terminate,
+)
 
 __all__ = [
     "derive_group_seed",
@@ -123,9 +129,6 @@ class FleetConfig:
     lr_factor: float = 0.5
     spike_mads: float = 10.0
     min_history: int = 3
-    start_method: Optional[str] = None  # None: "fork" if available
-    poll_interval: float = 0.05     # scheduler wait granularity, seconds
-    term_grace: float = 5.0         # SIGTERM→SIGKILL escalation window
     # Worker-side telemetry: per-op tracing + spans + a file-backed event
     # log in each group directory, merged back through result.json.  The
     # orchestrator's own events.jsonl is always written (append-only).
@@ -416,15 +419,11 @@ class FleetOrchestrator:
         self.directory = Path(directory)
         self.base_config = base_config
         self.fleet = fleet if fleet is not None else FleetConfig()
-        method = self.fleet.start_method
-        if method is None:
-            available = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in available else "spawn"
-        self._context = multiprocessing.get_context(method)
-        self._backoff_rng = np.random.default_rng(
-            np.random.SeedSequence([self.fleet.fleet_seed & 0xFFFFFFFF,
-                                    0x5EED])
-        )
+        self._context = process_context()
+        self._backoff = Backoff(self.fleet.fleet_seed, 0x5EED,
+                                self.fleet.backoff_base,
+                                self.fleet.backoff_cap,
+                                self.fleet.backoff_jitter)
         self.registry = get_registry()
         self._events: Optional[EventLog] = None
 
@@ -465,14 +464,7 @@ class FleetOrchestrator:
             while pending or running:
                 now = time.monotonic()  # effects: ok TIME reason=deadline supervision only; job results carry no wall time
                 self._launch_eligible(runs, pending, running, now)
-                if not running:
-                    # Everything pending is gated on backoff; sleep to the
-                    # nearest eligibility instant.
-                    wake = min(runs[g].eligible_at for g in pending)
-                    time.sleep(min(max(wake - now, 0.0) + 1e-3,
-                                   self.fleet.poll_interval))
-                    continue
-                self._wait(runs, running)
+                self._wait(runs, pending, running)
                 now = time.monotonic()  # effects: ok TIME reason=deadline supervision only; job results carry no wall time
                 for group_id in list(running):
                     run = runs[group_id]
@@ -480,7 +472,7 @@ class FleetOrchestrator:
                         running.remove(group_id)
                         self._reap(run, pending, timed_out=False)
                     elif now >= run.deadline:
-                        self._terminate(run.process)
+                        terminate(run.process)
                         running.remove(group_id)
                         self._reap(run, pending, timed_out=True)
         finally:
@@ -542,26 +534,22 @@ class FleetOrchestrator:
         run.result.status = JobStatus.RUNNING
         self._emit("attempt_start", group=run.job.group_id, attempt=attempt)
 
-    def _wait(self, runs, running: List[str]) -> None:
-        """Block until a worker exits, a deadline passes, or a poll tick."""
+    def _wait(self, runs, pending: List[str], running: List[str]) -> None:
+        """Block until a worker exits, a running attempt's deadline passes,
+        or — when a worker slot is free — a pending attempt's backoff
+        ends."""
+        wakes = [runs[g].deadline for g in running]
+        if len(running) < self.fleet.workers:
+            wakes += [runs[g].eligible_at for g in pending]
         now = time.monotonic()  # effects: ok TIME reason=deadline supervision only; job results carry no wall time
-        nearest = min(runs[g].deadline for g in running)
-        timeout = max(min(nearest - now, self.fleet.poll_interval), 0.0)
         connection.wait([runs[g].process.sentinel for g in running],
-                        timeout=timeout)
-
-    def _terminate(self, process) -> None:
-        process.terminate()
-        process.join(self.fleet.term_grace)
-        if process.is_alive():
-            process.kill()
-            process.join(self.fleet.term_grace)
+                        timeout=max(min(wakes) - now, 0.0))
 
     # ------------------------------------------------------------------
     def _reap(self, run: _JobRun, pending: List[str],
               timed_out: bool) -> None:
         process = run.process
-        process.join(self.fleet.term_grace)
+        process.join(TERM_GRACE)
         exitcode = process.exitcode
         seconds = time.monotonic() - run.started_at  # effects: ok TIME reason=deadline supervision only; job results carry no wall time
         process.close()
@@ -654,12 +642,6 @@ class FleetOrchestrator:
                 # A malformed snapshot from a torn worker must not take
                 # down the fleet; the raw list is still on the result.
                 pass
-
-    def _backoff(self, failed_attempts: int) -> float:
-        delay = self.fleet.backoff_base * (2.0 ** (failed_attempts - 1))
-        delay = min(delay, self.fleet.backoff_cap)
-        jitter = self.fleet.backoff_jitter * float(self._backoff_rng.random())
-        return delay * (1.0 + jitter)
 
 
 def train_fleet(jobs: Sequence[FleetJob], base_config: MaceConfig,

@@ -56,6 +56,12 @@ __all__ = ["SCENARIOS", "DrillConfig", "DrillRow", "DrillReport",
 
 SCENARIOS = ("input_corruption", "model_outage", "model_nan")
 
+# The scripted fault window, in ticks: it opens after the warm-up window
+# and leaves enough post-fault runway for ladder climbs and verification
+# dwells even when the first two rungs are sabotaged.
+_FAULT_START = 60
+_FAULT_END = _FAULT_START + 48
+
 
 @dataclass(frozen=True)
 class DrillConfig:
@@ -64,10 +70,8 @@ class DrillConfig:
     ``fault_rate`` is the fraction of services assigned a fault scenario
     (the acceptance gate requires at least 0.3); ``action_fault_rate``
     the probability that a *faulted* service's remediation path is itself
-    broken.  ``fault_start``/``fault_duration`` position the scripted
-    fault window inside the ``ticks``-long run; the defaults leave enough
-    post-fault runway for ladder climbs and verification dwells even when
-    the first two rungs are sabotaged.
+    broken.  The scripted fault window covers ticks
+    ``[_FAULT_START, _FAULT_END)`` of the ``ticks``-long run.
     """
 
     seed: int = 0
@@ -78,8 +82,6 @@ class DrillConfig:
     fault_rate: float = 0.6
     action_fault_rate: float = 0.3
     relapse_ticks: int = 8
-    fault_start: int = 60
-    fault_duration: int = 48
     events_path: Optional[str] = None
 
     def __post_init__(self):
@@ -91,9 +93,9 @@ class DrillConfig:
             raise ValueError("action_fault_rate must be in [0, 1]")
         if self.history_len < 2 * self.window:
             raise ValueError("history_len must cover 2x the window")
-        if self.fault_start < self.window:
-            raise ValueError("fault_start must leave a warm-up window")
-        if self.fault_start + self.fault_duration >= self.ticks:
+        if self.window > _FAULT_START:
+            raise ValueError("window must fit before the fault window")
+        if _FAULT_END >= self.ticks:
             raise ValueError("fault window must end before the run does")
 
 
@@ -290,7 +292,6 @@ def run_drill(config: DrillConfig | None = None,
         runtime.start_service(service_id, history)
         controller.watch(service_id, history=history)
 
-    fault_end = config.fault_start + config.fault_duration
     relapse_until: Dict[str, int] = {}
     relapse_fired: set = set()
 
@@ -305,7 +306,7 @@ def run_drill(config: DrillConfig | None = None,
     try:
         for step in range(config.ticks):
             current_tick[0] = step + 1
-            in_fault_window = config.fault_start <= step < fault_end
+            in_fault_window = _FAULT_START <= step < _FAULT_END
             for service_id in service_ids:
                 scenario = scenarios.get(service_id, "")
                 if scenario == "model_outage":

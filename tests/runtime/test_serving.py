@@ -292,6 +292,20 @@ class TestServingTelemetry:
         assert detail["update_seconds"]["max"] >= detail["update_seconds"]["p99"]
         assert detail["transitions"] == 0
 
+    def test_health_states_detail_quantiles_never_cross(self):
+        # On this stream the separate P² estimators for p50 and p99 cross
+        # (tests/obs/test_metrics.py pins that); the detail view reads
+        # Histogram.quantile() directly and must still report them in order.
+        runtime, registry = self._fresh_runtime()
+        histogram = registry.get("serving.update_seconds", service="svc")
+        values = [476.7, 346.0, 539.7, 1617.8, 1555.5, 1076.6, 610.6,
+                  854.2, 785.7, 767.4]
+        for value in values:
+            histogram.observe(value)
+        seconds = runtime.health_states(detail=True)["svc"]["update_seconds"]
+        assert min(values) <= seconds["p50"] <= seconds["p99"]
+        assert seconds["p99"] <= seconds["max"] == max(values)
+
     def test_failed_update_still_counted(self):
         """The latency histogram records even quarantined/fallback paths."""
         runtime, registry = self._fresh_runtime()
