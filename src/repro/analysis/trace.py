@@ -97,10 +97,6 @@ class Graph:
     def loss_index(self) -> Optional[int]:
         return self.outputs[0] if self.outputs else None
 
-    def node_for(self, t: Tensor) -> Optional[GraphNode]:
-        index = self.tensor_index.get(id(t))
-        return self.nodes[index] if index is not None else None
-
     def consumer_counts(self) -> List[int]:
         counts = [0] * len(self.nodes)
         for node in self.nodes:

@@ -22,7 +22,6 @@ from repro.data.patterns import (
     random_pattern,
 )
 from repro.data.contamination import ContaminatedService, contaminate_training
-from repro.data.io import load_dataset_file, save_dataset, service_from_arrays
 from repro.data.registry import available_datasets, get_profile, register_profile
 from repro.data.splits import (
     GroupSplit,
@@ -46,7 +45,6 @@ __all__ = [
     "ArNoise", "FeaturePattern", "NormalPattern", "SawtoothWave", "Sinusoid",
     "SquareWave", "Trend", "perturb_pattern", "random_pattern",
     "available_datasets", "get_profile", "register_profile",
-    "load_dataset_file", "save_dataset", "service_from_arrays",
     "ContaminatedService", "contaminate_training",
     "GroupSplit", "tailored_singletons", "transfer_pair", "unified_groups",
     "WindowBatch", "WindowDataset", "scores_to_timeline", "sliding_windows",

@@ -1,6 +1,5 @@
 """Evaluation stack: metrics, thresholds, protocols, profiling."""
 
-from repro.eval.delay import DelayStats, delay_stats, detection_delays
 from repro.eval.metrics import (
     ConfusionCounts,
     DetectionMetrics,
@@ -20,7 +19,6 @@ from repro.eval.protocol import (
     run_transfer,
     run_unified,
 )
-from repro.eval.ranking import auprc, auroc, precision_recall_curve
 from repro.eval.spot import Spot
 from repro.eval.reporting import format_metrics_table, format_table, paper_vs_measured
 from repro.eval.thresholds import (
@@ -34,8 +32,6 @@ __all__ = [
     "ConfusionCounts", "DetectionMetrics", "confusion_counts",
     "detection_metrics", "label_segments", "point_adjust",
     "PotFit", "fit_pot", "pot_threshold",
-    "DelayStats", "delay_stats", "detection_delays",
-    "auroc", "auprc", "precision_recall_curve",
     "ResourceProfile", "profile_call", "Spot",
     "ProtocolResult", "ServiceResult", "evaluate_scores", "run_split",
     "run_tailored", "run_transfer", "run_unified",

@@ -24,14 +24,9 @@ __all__ = [
     "leaky_relu",
     "softplus",
     "softmax",
-    "log_softmax",
     "dropout",
     "layer_norm",
     "mse_loss",
-    "l1_loss",
-    "huber_loss",
-    "binary_cross_entropy",
-    "gaussian_nll",
     "kl_diag_gaussian",
 ]
 
@@ -234,14 +229,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return exps / exps.sum(axis=axis, keepdims=True)  # analyzer: ok range=[0,1]
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    # Same max-shift argument as softmax: the summed exp term is >= 1.
-    shift = Tensor(x.data.max(axis=axis, keepdims=True))
-    shifted = x - shift
-    summed = shifted.exp().sum(axis=axis, keepdims=True)  # analyzer: ok range=[1,inf]
-    return shifted - summed.log()
-
-
 def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; identity when not training or ``p == 0``."""
     if not training or p <= 0.0:
@@ -280,38 +267,6 @@ def mse_loss(input: Tensor, target: Tensor, reduction: str = "mean") -> Tensor:
     target = target if isinstance(target, Tensor) else Tensor(target)
     diff = input - target
     return _reduce(diff * diff, reduction)
-
-
-def l1_loss(input: Tensor, target: Tensor, reduction: str = "mean") -> Tensor:
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    return _reduce((input - target).abs(), reduction)
-
-
-def huber_loss(input: Tensor, target: Tensor, delta: float = 1.0,
-               reduction: str = "mean") -> Tensor:
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    diff = input - target
-    abs_diff = diff.abs()
-    quadratic = diff * diff * 0.5
-    linear_part = abs_diff * delta - 0.5 * delta * delta
-    return _reduce(where(abs_diff.data <= delta, quadratic, linear_part), reduction)
-
-
-def binary_cross_entropy(probs: Tensor, target: Tensor, eps: float = 1e-7,
-                         reduction: str = "mean") -> Tensor:
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    clipped = probs.clip(eps, 1.0 - eps)
-    loss = -(target * clipped.log() + (1.0 - target) * (1.0 - clipped).log())
-    return _reduce(loss, reduction)
-
-
-def gaussian_nll(mean: Tensor, log_var: Tensor, target: Tensor,
-                 reduction: str = "mean") -> Tensor:
-    """Negative log-likelihood of a diagonal Gaussian (up to the constant)."""
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    diff = target - mean
-    loss = 0.5 * (log_var + diff * diff / log_var.exp())
-    return _reduce(loss, reduction)
 
 
 def kl_diag_gaussian(mean: Tensor, log_var: Tensor, reduction: str = "mean") -> Tensor:

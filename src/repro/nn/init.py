@@ -1,4 +1,4 @@
-"""Weight initialisation schemes (Xavier/Glorot, Kaiming/He, uniform)."""
+"""Weight initialisation schemes (Kaiming/He uniform, uniform, zeros)."""
 
 from __future__ import annotations
 
@@ -9,10 +9,7 @@ import numpy as np
 from repro.nn import random as nn_random
 
 __all__ = [
-    "xavier_uniform",
-    "xavier_normal",
     "kaiming_uniform",
-    "kaiming_normal",
     "uniform",
     "zeros",
     "fan_in_and_fan_out",
@@ -39,33 +36,12 @@ def _rng(rng: np.random.Generator | None) -> np.random.Generator:
     return rng if rng is not None else nn_random.default_rng()
 
 
-def xavier_uniform(shape: tuple, gain: float = 1.0,
-                   rng: np.random.Generator | None = None) -> np.ndarray:
-    fan_in, fan_out = fan_in_and_fan_out(shape)
-    bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
-    return _rng(rng).uniform(-bound, bound, size=shape)
-
-
-def xavier_normal(shape: tuple, gain: float = 1.0,
-                  rng: np.random.Generator | None = None) -> np.ndarray:
-    fan_in, fan_out = fan_in_and_fan_out(shape)
-    std = gain * math.sqrt(2.0 / (fan_in + fan_out))
-    return _rng(rng).normal(0.0, std, size=shape)
-
-
 def kaiming_uniform(shape: tuple, a: float = math.sqrt(5.0),
                     rng: np.random.Generator | None = None) -> np.ndarray:
     fan_in, _ = fan_in_and_fan_out(shape)
     gain = math.sqrt(2.0 / (1.0 + a * a))
     bound = gain * math.sqrt(3.0 / fan_in)
     return _rng(rng).uniform(-bound, bound, size=shape)
-
-
-def kaiming_normal(shape: tuple, a: float = 0.0,
-                   rng: np.random.Generator | None = None) -> np.ndarray:
-    fan_in, _ = fan_in_and_fan_out(shape)
-    gain = math.sqrt(2.0 / (1.0 + a * a))
-    return _rng(rng).normal(0.0, gain / math.sqrt(fan_in), size=shape)
 
 
 def uniform(shape: tuple, low: float, high: float,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["seed", "default_rng", "fork_rng"]
+__all__ = ["seed", "default_rng"]
 
 _DEFAULT = np.random.default_rng(0)
 
@@ -24,14 +24,3 @@ def seed(value: int) -> None:
 def default_rng() -> np.random.Generator:
     """Return the library-wide default generator."""
     return _DEFAULT  # effects: ok FORK_GLOBAL reason=library-wide default generator; workers reseed via config seed
-
-
-def fork_rng(value: int | None = None) -> np.random.Generator:
-    """Return an independent generator.
-
-    With ``value`` given the fork is deterministic; otherwise it is spawned
-    from the default generator's stream.
-    """
-    if value is not None:
-        return np.random.default_rng(value)
-    return np.random.default_rng(_DEFAULT.integers(0, 2**63 - 1))

@@ -5,8 +5,8 @@ reproduction measures it from the inside (DESIGN.md §11):
 
 ``repro.obs.metrics``
     Dependency-free registry of counters, gauges and streaming histograms
-    (P² quantiles), with Prometheus-style exposition, bitwise-stable
-    JSONL export, and associative cross-process merge.
+    (P² quantiles), with bitwise-stable JSONL export and associative
+    cross-process merge.
 ``repro.obs.tracing``
     :class:`SpanRecord`, the one span schema, and nested context-manager
     spans (wall time + optional ``tracemalloc`` deltas) with a

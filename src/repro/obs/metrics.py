@@ -3,9 +3,8 @@
 The registry is the numeric half of the observability layer
 (:mod:`repro.obs`): every instrumented component — the trainer, the
 serving loop, the fleet orchestrator, the autograd op profiler — records
-into one :class:`MetricsRegistry` and the registry renders itself as
-Prometheus-style exposition text or as JSONL for offline analysis
-(``repro obs report``).
+into one :class:`MetricsRegistry` and the registry exports itself as
+JSONL for offline analysis (``repro obs report``).
 
 Design constraints, in order:
 
@@ -58,6 +57,8 @@ DEFAULT_BUCKETS: Tuple[float, ...] = tuple(
     for mantissa in (1.0, 2.5, 5.0)
 )
 
+# The levels every histogram tracks with P², ascending; snapshot() reports
+# them in this order.
 DEFAULT_QUANTILES: Tuple[float, ...] = (0.5, 0.9, 0.99)
 
 
@@ -226,13 +227,11 @@ class Histogram:
     """
 
     __slots__ = ("name", "labels", "bounds", "bucket_counts", "count",
-                 "total", "min", "max", "exemplars", "_levels",
-                 "_estimators")
+                 "total", "min", "max", "exemplars", "_estimators")
     kind = "histogram"
 
     def __init__(self, name: str, labels: Tuple[Tuple[str, str], ...] = (),
-                 bounds: Sequence[float] = DEFAULT_BUCKETS,
-                 quantiles: Sequence[float] = DEFAULT_QUANTILES):
+                 bounds: Sequence[float] = DEFAULT_BUCKETS):
         self.name = name
         self.labels = labels
         self.bounds = tuple(float(b) for b in bounds)
@@ -246,9 +245,8 @@ class Histogram:
         # bucket index -> {"value": worst observation, "trace_id": its
         # trace}; empty until an exemplar-carrying observation arrives.
         self.exemplars: Dict[int, dict] = {}
-        self._levels = tuple(sorted(float(q) for q in quantiles))
         self._estimators: Optional[Dict[float, P2Quantile]] = {
-            q: P2Quantile(q) for q in self._levels
+            q: P2Quantile(q) for q in DEFAULT_QUANTILES
         }
 
     def observe(self, value: float,
@@ -297,7 +295,7 @@ class Histogram:
         q = float(q)
         running = max([self.min, self._raw_quantile(q)]
                       + [self._raw_quantile(level)
-                         for level in self._levels if level < q])
+                         for level in DEFAULT_QUANTILES if level < q])
         return min(running, self.max)
 
     def _raw_quantile(self, q: float) -> float:
@@ -348,7 +346,7 @@ class Histogram:
     def snapshot(self) -> dict:
         quantiles = {}
         if self.count:
-            for q in sorted(DEFAULT_QUANTILES):
+            for q in DEFAULT_QUANTILES:
                 quantiles[f"p{int(q * 100)}"] = self.quantile(q)
         snap = {
             "kind": self.kind, "name": self.name,
@@ -432,31 +430,6 @@ class MetricsRegistry:
 
         atomic_replace(path, self.to_jsonl().encode("utf-8"))
 
-    def render_prometheus(self) -> str:
-        """Prometheus text exposition (counters, gauges, histograms)."""
-        out: List[str] = []
-        seen_types = set()
-        for metric in self._metrics.values():
-            base = _sanitize_name(metric.name)
-            if base not in seen_types:
-                seen_types.add(base)
-                out.append(f"# TYPE {base} {metric.kind}")
-            if isinstance(metric, Histogram):
-                cumulative = 0
-                for bound, bucket_count in zip(metric.bounds,
-                                               metric.bucket_counts):
-                    cumulative += bucket_count
-                    out.append(_sample(f"{base}_bucket", metric.labels,
-                                       cumulative, extra=("le", f"{bound:g}")))
-                out.append(_sample(f"{base}_bucket", metric.labels,
-                                   metric.count, extra=("le", "+Inf")))
-                out.append(_sample(f"{base}_sum", metric.labels, metric.total))
-                out.append(_sample(f"{base}_count", metric.labels,
-                                   metric.count))
-            else:
-                out.append(_sample(base, metric.labels, metric.value))
-        return "\n".join(out) + ("\n" if out else "")
-
     # -- merge ---------------------------------------------------------
     def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
         """Fold another registry's metrics into this one (in place)."""
@@ -487,21 +460,6 @@ class MetricsRegistry:
             key = (metric.name, metric.labels)
             registry._metrics[key] = metric
         return registry
-
-
-def _sanitize_name(name: str) -> str:
-    return "".join(c if c.isalnum() or c == "_" else "_" for c in name)
-
-
-def _sample(name: str, labels: Tuple[Tuple[str, str], ...], value,
-            extra: Optional[Tuple[str, str]] = None) -> str:
-    pairs = list(labels)
-    if extra is not None:
-        pairs.append(extra)
-    if pairs:
-        rendered = ",".join(f'{k}="{v}"' for k, v in pairs)
-        return f"{name}{{{rendered}}} {value:g}"
-    return f"{name} {value:g}"
 
 
 def _from_snapshot(snap: dict):

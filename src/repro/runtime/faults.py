@@ -36,7 +36,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -163,6 +163,23 @@ class InjectedFault(RuntimeError):
     """Raised from an injected scoring-path fault."""
 
 
+def _draw_faults(rng: np.random.Generator, ids: Sequence[str], rate: float,
+                 kinds: Sequence, build: Callable[[Any], Any]) -> Dict[str, Any]:
+    """The one seeded plan draw every fault planner shares.
+
+    For each id in order: one ``rng.random()`` against ``rate``; on a hit,
+    one ``rng.integers`` picks a kind and ``build(kind)`` makes the fault
+    (drawing any further fields from the same generator).  The draw
+    sequence is part of each planner's contract: equal seeds, equal plans.
+    """
+    plan: Dict[str, Any] = {}
+    for item in ids:
+        if rng.random() >= rate:
+            continue
+        plan[item] = build(kinds[int(rng.integers(len(kinds)))])
+    return plan
+
+
 class FaultInjector:
     """Seeded source of observation, scoring, and storage faults.
 
@@ -267,9 +284,10 @@ class FaultInjector:
 
         Each group in ``group_ids`` (order matters — it is part of the
         seeded draw) is assigned a :class:`WorkerFault` with probability
-        ``fault_rate``.  Fault epochs are drawn in ``[1, epochs)`` when
-        possible so a checkpoint exists before the fault fires; with
-        ``epochs == 1`` they land on epoch 1 / batch 0.
+        ``fault_rate``.  Epoch-boundary faults (``worker_kill``,
+        ``worker_hang``) fire after an epoch drawn in ``[1, epochs]``, so
+        at least one epoch has completed; ``nan_grad`` poisons batch 0 of
+        a 0-based loop epoch drawn in ``[0, epochs)``.
         """
         unknown = sorted(set(kinds) - set(WORKER_FAULT_KINDS))
         if unknown:
@@ -280,24 +298,17 @@ class FaultInjector:
             raise ValueError("fault_rate must be in [0, 1]")
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
-        plan: Dict[str, WorkerFault] = {}
-        for group_id in group_ids:
-            if self._rng.random() >= fault_rate:
-                continue
-            kind = kinds[int(self._rng.integers(len(kinds)))]
+
+        def build(kind: str) -> WorkerFault:
             if kind == "nan_grad":
-                # Batch-level fault: epoch in [0, epochs) (0-based loop
-                # epoch), batch 0 — every group has at least one batch.
+                # Batch-level fault: every group has at least one batch.
                 epoch = int(self._rng.integers(epochs))
-                fault = WorkerFault(kind, epoch=epoch, batch=0,
-                                    repeat=repeat)
-            else:
-                # Epoch-boundary fault: fires after `epoch` completed
-                # epochs, i.e. in [1, epochs].
-                epoch = 1 + int(self._rng.integers(epochs))
-                fault = WorkerFault(kind, epoch=epoch, repeat=repeat)
-            plan[group_id] = fault
-            self.worker_faults_planned += 1
+                return WorkerFault(kind, epoch=epoch, batch=0, repeat=repeat)
+            epoch = 1 + int(self._rng.integers(epochs))
+            return WorkerFault(kind, epoch=epoch, repeat=repeat)
+
+        plan = _draw_faults(self._rng, group_ids, fault_rate, kinds, build)
+        self.worker_faults_planned += len(plan)
         return plan
 
     # ------------------------------------------------------------------
@@ -325,14 +336,11 @@ class FaultInjector:
             raise ValueError("need at least one action fault kind")
         if not 0.0 <= fault_rate <= 1.0:
             raise ValueError("fault_rate must be in [0, 1]")
-        plan: Dict[str, ActionFault] = {}
-        for service_id in service_ids:
-            if self._rng.random() >= fault_rate:
-                continue
-            kind = kinds[int(self._rng.integers(len(kinds)))]
-            plan[service_id] = ActionFault(kind, relapse_ticks=relapse_ticks,
-                                           repeat=repeat)
-            self.action_faults_planned += 1
+        plan = _draw_faults(
+            self._rng, service_ids, fault_rate, kinds,
+            lambda kind: ActionFault(kind, relapse_ticks=relapse_ticks,
+                                     repeat=repeat))
+        self.action_faults_planned += len(plan)
         return plan
 
     # ------------------------------------------------------------------
@@ -363,17 +371,15 @@ class FaultInjector:
             raise ValueError("fault_rate must be in [0, 1]")
         if updates < 1:
             raise ValueError("updates must be >= 1")
-        plan: Dict[str, GatewayFault] = {}
-        for service_id in service_ids:
-            if self._rng.random() >= fault_rate:
-                continue
-            kind = kinds[int(self._rng.integers(len(kinds)))]
+
+        def build(kind: str) -> GatewayFault:
             at_update = 1 + int(self._rng.integers(updates))
-            plan[service_id] = GatewayFault(
-                kind, at_update=at_update, delay_updates=delay_updates,
-                delay_seconds=delay_seconds, repeat=repeat,
-            )
-            self.gateway_faults_planned += 1
+            return GatewayFault(kind, at_update=at_update,
+                                delay_updates=delay_updates,
+                                delay_seconds=delay_seconds, repeat=repeat)
+
+        plan = _draw_faults(self._rng, service_ids, fault_rate, kinds, build)
+        self.gateway_faults_planned += len(plan)
         return plan
 
     # ------------------------------------------------------------------

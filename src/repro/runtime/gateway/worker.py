@@ -51,12 +51,9 @@ from repro.runtime.checkpoint import (
     save_streaming_state,
 )
 from repro.runtime.serving import ServingRuntime
+from repro.runtime.supervise import KILLED_EXIT_CODE
 
 __all__ = ["KILLED_EXIT_CODE", "run_shard_worker"]
-
-# Exit code for an injected hard kill (os._exit: no cleanup, no ack) —
-# same convention as the training orchestrator's killed workers.
-KILLED_EXIT_CODE = 73
 
 
 def _build_runtime(payload: dict) -> ServingRuntime:

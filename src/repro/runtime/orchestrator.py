@@ -56,6 +56,7 @@ from repro.obs.metrics import MetricsRegistry, get_registry, install_registry
 from repro.obs.tracing import disable_tracing, enable_tracing, profile_ops
 from repro.runtime.faults import WorkerFault
 from repro.runtime.supervise import (
+    KILLED_EXIT_CODE,
     TERM_GRACE,
     Backoff,
     process_context,
@@ -74,8 +75,6 @@ __all__ = [
     "train_fleet",
 ]
 
-# Exit code a worker uses for an injected hard kill (os._exit, no cleanup).
-KILLED_EXIT_CODE = 73
 # How long an injected hang sleeps; always longer than any sane per-task
 # timeout, so the orchestrator's deadline is what ends the attempt.
 _HANG_SECONDS = 3600.0

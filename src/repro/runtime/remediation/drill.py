@@ -37,10 +37,15 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.detector import AnomalyDetector
 from repro.obs.events import EventLog, get_event_log, install_event_log
 from repro.obs.metrics import MetricsRegistry
-from repro.runtime.faults import ActionFault, FaultInjector, FaultyDetector
+from repro.runtime.faults import (
+    ActionFault,
+    FaultInjector,
+    FaultyDetector,
+    _draw_faults,
+)
+from repro.runtime.gateway.traffic import ZScoreDetector
 from repro.runtime.health import BreakerConfig, HealthState
 from repro.runtime.remediation.controller import (
     IncidentState,
@@ -191,30 +196,6 @@ class DrillReport:
         return "\n".join(lines)
 
 
-class _DrillDetector(AnomalyDetector):
-    """Cheap deterministic z-score scorer (the drill tests the *loop*)."""
-
-    name = "drill-zscore"
-
-    def __init__(self):
-        self._stats: Dict[str, tuple] = {}
-
-    def fit(self, service_ids, train_series) -> "_DrillDetector":
-        for service_id, series in zip(service_ids, train_series):
-            self.prepare_service(service_id, series)
-        return self
-
-    def prepare_service(self, service_id: str, train_series) -> None:
-        series = np.atleast_2d(np.asarray(train_series, dtype=float))
-        self._stats[service_id] = (series.mean(axis=0),
-                                   series.std(axis=0) + 1e-9)
-
-    def score(self, service_id: str, series: np.ndarray) -> np.ndarray:
-        mean, std = self._stats[service_id]
-        series = np.atleast_2d(np.asarray(series, dtype=float))
-        return np.abs((series - mean) / std).max(axis=1)
-
-
 def _make_fleet(config: DrillConfig) -> Dict[str, np.ndarray]:
     """Seeded sine+noise fleet; index -> full (history + live) series."""
     rng = np.random.default_rng(1000 + config.seed)
@@ -264,20 +245,17 @@ def run_drill(config: DrillConfig | None = None,
     fleet = _make_fleet(config)
     service_ids = sorted(fleet)
 
-    # Seeded scenario assignment mirrors plan_worker_faults: one draw per
-    # service in id order, then a second seeded pass for action faults on
-    # the faulted subset only.
-    rng = np.random.default_rng(2000 + config.seed)
-    scenarios: Dict[str, str] = {}
-    for service_id in service_ids:
-        if rng.random() < config.fault_rate:
-            scenarios[service_id] = SCENARIOS[
-                int(rng.integers(len(SCENARIOS)))]
+    # Seeded scenario assignment is the fault planners' draw on its own
+    # generator, then a second seeded pass for action faults on the
+    # faulted subset only.
+    scenarios: Dict[str, str] = _draw_faults(
+        np.random.default_rng(2000 + config.seed), service_ids,
+        config.fault_rate, SCENARIOS, lambda kind: kind)
     action_plan = injector.plan_action_faults(
         sorted(scenarios), config.action_fault_rate,
         relapse_ticks=config.relapse_ticks)
 
-    detector = _DrillDetector().fit(
+    detector = ZScoreDetector().fit(
         service_ids, [fleet[sid][:config.history_len]
                       for sid in service_ids])
     faulty = FaultyDetector(detector, injector)

@@ -8,6 +8,8 @@ once:
 
 * :func:`process_context` — ``fork`` where the platform has it, else
   ``spawn``;
+* :data:`KILLED_EXIT_CODE` — the exit status of a child hard-killed by an
+  injected fault;
 * :func:`terminate` — SIGTERM, a :data:`TERM_GRACE` join, then SIGKILL;
 * :class:`Backoff` — ``min(base·2^(n-1), cap) · (1 + jitter·u)`` with
   ``u`` drawn from a PCG64 seeded by ``(seed, salt)``, so retry timing
@@ -20,7 +22,12 @@ import multiprocessing
 
 import numpy as np
 
-__all__ = ["TERM_GRACE", "Backoff", "process_context", "terminate"]
+__all__ = ["KILLED_EXIT_CODE", "TERM_GRACE", "Backoff", "process_context",
+           "terminate"]
+
+# Exit code a child uses for an injected hard kill (os._exit: no cleanup,
+# no result file, no ack).
+KILLED_EXIT_CODE = 73
 
 # Seconds a child gets to exit after SIGTERM (and to be reaped after
 # SIGKILL) before the supervisor moves on.

@@ -81,11 +81,6 @@ class TestSoftmax:
         out = F.softmax(Tensor(np.array([1000.0, 1000.0])))
         np.testing.assert_allclose(out.data, [0.5, 0.5])
 
-    def test_log_softmax_consistent(self, rng):
-        x = Tensor(rng.normal(size=(4, 6)))
-        np.testing.assert_allclose(F.log_softmax(x).data,
-                                   np.log(F.softmax(x).data), atol=1e-12)
-
 
 class TestLosses:
     def test_mse_reductions(self, rng):
@@ -98,34 +93,10 @@ class TestLosses:
         with pytest.raises(ValueError):
             F.mse_loss(a, b, "bogus")
 
-    def test_l1(self, rng):
-        a = Tensor(rng.normal(size=(5,)))
-        b = rng.normal(size=(5,))
-        assert abs(F.l1_loss(a, b).item() - np.abs(a.data - b).mean()) < 1e-12
-
-    def test_huber_transitions(self):
-        a = Tensor(np.array([0.1, 3.0]))
-        b = np.zeros(2)
-        loss = F.huber_loss(a, b, delta=1.0, reduction="none")
-        np.testing.assert_allclose(loss.data, [0.005, 2.5])
-
-    def test_bce_bounds_and_values(self):
-        probs = Tensor(np.array([0.9, 0.1]))
-        target = np.array([1.0, 0.0])
-        expected = -np.log(np.array([0.9, 0.9])).mean()
-        np.testing.assert_allclose(F.binary_cross_entropy(probs, target).item(),
-                                   expected, rtol=1e-6)
-
     def test_kl_diag_gaussian_zero_at_standard_normal(self):
         mu = Tensor(np.zeros((3, 2)))
         logvar = Tensor(np.zeros((3, 2)))
         assert abs(F.kl_diag_gaussian(mu, logvar).item()) < 1e-12
-
-    def test_gaussian_nll_minimised_at_mean(self, rng):
-        target = rng.normal(size=(4,))
-        at_mean = F.gaussian_nll(Tensor(target), Tensor(np.zeros(4)), target)
-        off_mean = F.gaussian_nll(Tensor(target + 1), Tensor(np.zeros(4)), target)
-        assert at_mean.item() < off_mean.item()
 
 
 class TestDropoutFunction:

@@ -173,10 +173,9 @@ def test_grad_pools(seed):
 
 
 @given(seed=st.integers(0, 10_000))
-def test_grad_softmax_logsoftmax(seed):
+def test_grad_softmax(seed):
     x = _tensor((3, 5), seed)
     assert gradcheck(lambda a: F.softmax(a, axis=-1) * 3.0, [x])
-    assert gradcheck(lambda a: F.log_softmax(a, axis=-1), [x])
 
 
 @given(seed=st.integers(0, 10_000))
@@ -193,16 +192,12 @@ def test_grad_losses(seed):
     x = _tensor((3, 4), seed)
     target = Tensor(np.random.default_rng(seed + 9).normal(size=(3, 4)))
     assert gradcheck(lambda a: F.mse_loss(a, target), [x])
-    assert gradcheck(lambda a: F.huber_loss(a, target, delta=0.7), [x],
-                     atol=1e-3)
 
 
 @given(seed=st.integers(0, 10_000))
 def test_grad_vae_losses(seed):
     mu = _tensor((3, 4), seed)
     logvar = _tensor((3, 4), seed + 1, low=-1.0, high=1.0)
-    target = Tensor(np.random.default_rng(seed + 2).normal(size=(3, 4)))
-    assert gradcheck(lambda m, lv: F.gaussian_nll(m, lv, target), [mu, logvar])
     assert gradcheck(lambda m, lv: F.kl_diag_gaussian(m, lv), [mu, logvar])
 
 
