@@ -54,11 +54,17 @@ chaos-train:
 	$(PYTHON) -m pytest tests/runtime/test_chaos_train.py -q
 
 # Serving-gateway chaos suite: seeded delivery faults on the full fleet
-# plus workers hard-killed mid-traffic (applied, never acked); zero
-# acknowledged updates may be lost — final worker states must match the
-# fault-free baseline bitwise — and >=90% of services must end HEALTHY.
+# plus workers hard-killed mid-traffic (applied, never acked), with
+# dropped and non-finite samples in the streams; zero acknowledged
+# updates may be lost — the full serving state of every worker, sanitizer
+# and breaker included, must match the fault-free baseline bitwise — and
+# >=90% of services must end HEALTHY.  Also runs the snapshot restore and
+# snapshot-first respawn tests that state depends on.
 chaos-serve:
-	$(PYTHON) -m pytest tests/runtime/test_chaos_serve.py -q
+	$(PYTHON) -m pytest tests/runtime/test_chaos_serve.py \
+	    tests/runtime/test_serving.py::TestServingStateRestore \
+	    tests/runtime/test_gateway.py::TestDroppedSamples \
+	    tests/runtime/test_gateway.py::TestSnapshotFirstRespawn -q
 
 # Closed-loop remediation drill gate: across the seeded scenario matrix
 # (>=30% of services faulted, remediation actions themselves sabotaged),

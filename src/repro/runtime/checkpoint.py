@@ -12,7 +12,8 @@ previous complete checkpoint or nothing — never a truncated archive that
 a later resume would half-load.
 
 Streaming snapshots serialise a :class:`~repro.core.streaming
-.StreamingDetector`'s ring buffers + SPOT state so a serving process can
+.StreamingDetector`'s ring buffers + SPOT state, or a whole
+:class:`~repro.runtime.serving.ServingRuntime`, so a serving process can
 restart without re-running per-service calibration.
 """
 
@@ -49,7 +50,9 @@ __all__ = [
 
 _FORMAT = "repro.training-checkpoint.v1"
 _STREAM_FORMAT = "repro.streaming-state.v1"
-_SERVING_FORMAT = "repro.serving-state.v1"
+# ServingRuntime.state_dict() formats: v1 holds the streaming state and
+# sequence marks; v2 adds each service's sanitizer, breaker and fallback.
+_SERVING_FORMATS = ("repro.serving-state.v1", "repro.serving-state.v2")
 _MODEL_PREFIX = "model/"
 _OPTIM_PREFIX = "optim/"
 
@@ -251,16 +254,17 @@ class Checkpointer:
 
 
 def save_streaming_state(streaming, path: str | Path) -> Path:
-    """Snapshot a live :class:`~repro.core.streaming.StreamingDetector`.
+    """Snapshot a live :class:`~repro.core.streaming.StreamingDetector`
+    or :class:`~repro.runtime.serving.ServingRuntime`.
 
-    The snapshot holds ring buffers and SPOT state for every started
-    service; restoring it skips the per-service calibration pass entirely.
-
-    A :class:`~repro.runtime.serving.ServingRuntime` (anything with a
-    ``.streaming`` attribute) may be passed instead, in which case the
-    snapshot additionally records the per-service applied-sequence
-    high-water marks so at-least-once duplicate detection survives a
-    restart — the property WAL replay into a restored runtime depends on.
+    A bare detector writes a ``repro.streaming-state.v1`` snapshot: ring
+    buffers and SPOT state for every started service.  A runtime writes
+    ``repro.serving-state.v2``: that streaming state plus, per service,
+    the applied-sequence high-water mark, the sanitizer's fit and online
+    state (last clean row, consecutive-imputation count), the full
+    circuit-breaker state and the fallback scorer's calibration.  A v2
+    snapshot is the whole serving state, so restoring it replaces
+    calibration rather than overlaying it.
     """
     path = Path(path)
     atomic_replace(
@@ -273,10 +277,20 @@ def save_streaming_state(streaming, path: str | Path) -> Path:
 def load_streaming_state(streaming, path: str | Path) -> None:
     """Restore a snapshot written by :func:`save_streaming_state`.
 
-    Both snapshot formats load into either target: a serving snapshot
-    restored into a bare :class:`StreamingDetector` simply discards the
-    sequence marks, and a streaming snapshot restored into a
-    :class:`ServingRuntime` leaves the marks at their current values.
+    What each format restores into a
+    :class:`~repro.runtime.serving.ServingRuntime`:
+
+    * ``repro.serving-state.v2`` rebuilds every service it holds, with no
+      calibration: streaming state, sequence marks, sanitizer, breaker and
+      fallback scorer.
+    * ``repro.serving-state.v1`` (written before v2) overlays streaming
+      state and sequence marks onto services ``start_service`` already
+      calibrated; sanitizer and breaker keep their calibrated state.
+    * ``repro.streaming-state.v1`` overlays streaming state onto
+      calibrated services and leaves the marks at their current values.
+
+    Restored into a bare :class:`StreamingDetector`, a serving snapshot
+    loads its streaming state and discards the rest.
     """
     path = Path(path)
     if not path.is_file():
@@ -291,12 +305,12 @@ def load_streaming_state(streaming, path: str | Path) -> None:
         raise CheckpointError(f"{path} is not a streaming state snapshot")
     fmt = state.get("format")
     is_serving_target = hasattr(streaming, "streaming")
-    if fmt == _SERVING_FORMAT and not is_serving_target:
-        state = state["streaming"]              # discard sequence marks
+    if fmt in _SERVING_FORMATS and not is_serving_target:
+        state = state["streaming"]              # keep only streaming state
         fmt = state.get("format") if isinstance(state, dict) else None
     elif fmt == _STREAM_FORMAT and is_serving_target:
         streaming = streaming.streaming         # marks stay as they are
-    if fmt not in (_STREAM_FORMAT, _SERVING_FORMAT):
+    if fmt != _STREAM_FORMAT and fmt not in _SERVING_FORMATS:
         raise CheckpointError(
             f"{path} is not a streaming state snapshot"
         )

@@ -332,9 +332,16 @@ class ServingGateway:
     # ------------------------------------------------------------------
     # Submission path (the ack protocol's front half)
     # ------------------------------------------------------------------
-    async def submit(self, service_id: str, observation: np.ndarray,
+    async def submit(self, service_id: str,
+                     observation: Optional[np.ndarray],
                      sequence: int) -> SubmitResult:
         """Admit, journal, and enqueue one point update.
+
+        ``observation=None`` is a dropped sample: it is journalled as
+        such and the worker imputes the whole row, exactly as
+        :meth:`~repro.runtime.serving.ServingRuntime.update` does in
+        process.  A row of the wrong width raises ``ValueError`` before
+        anything is journalled.
 
         ``sequence`` is the client's per-service monotonic update number
         (1-based, contiguous).  Re-submitting an already-accepted
@@ -348,6 +355,15 @@ class ServingGateway:
             raise KeyError(f"unknown service {service_id!r}")
         if sequence < 1:
             raise ValueError("sequence must be >= 1")
+        row = None
+        if observation is not None:
+            row = np.asarray(observation, dtype=float).reshape(-1)
+            width = self.services[service_id].shape[1]
+            if row.size != width:
+                raise ValueError(
+                    f"service {service_id!r} expects {width} features, "
+                    f"got {row.size}"
+                )
         started = time.perf_counter()
         tenant = self.tenant_of[service_id]
 
@@ -386,8 +402,7 @@ class ServingGateway:
         entry = {
             "service": service_id,
             "sequence": sequence,
-            "observation": np.asarray(observation,
-                                      dtype=float).reshape(-1).tolist(),
+            "observation": None if row is None else row.tolist(),
             "degraded": degraded,
             "schema": ENTRY_SCHEMA,
             "trace": context.to_wire(),

@@ -27,7 +27,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -163,7 +163,7 @@ class TrafficReport:
 
 
 async def _drive_service(gateway: ServingGateway, service_id: str,
-                         stream: np.ndarray, config: TrafficConfig,
+                         stream: Sequence, config: TrafficConfig,
                          fault: Optional[GatewayFault],
                          report: TrafficReport) -> None:
     """Submit one service's stream in order, surviving every rejection."""
@@ -214,7 +214,7 @@ async def _drive_service(gateway: ServingGateway, service_id: str,
 
 
 async def run_traffic(gateway: ServingGateway,
-                      streams: Dict[str, np.ndarray],
+                      streams: Dict[str, Sequence],
                       config: Optional[TrafficConfig] = None,
                       faults: Optional[Dict[str, GatewayFault]] = None
                       ) -> TrafficReport:
@@ -222,7 +222,8 @@ async def run_traffic(gateway: ServingGateway,
 
     ``streams`` maps service ids to ``(updates, features)`` arrays —
     typically the tail of :func:`make_fleet_series` beyond the
-    calibration history.  Delivery faults are executed client-side;
+    calibration history — or to lists of rows, where ``None`` submits a
+    dropped sample.  Delivery faults are executed client-side;
     ``worker_slow_start`` entries are ignored here (install them on the
     gateway with
     :meth:`~repro.runtime.gateway.gateway.ServingGateway.apply_fault_plan`
@@ -239,9 +240,9 @@ async def run_traffic(gateway: ServingGateway,
         fault = faults.get(service_id)
         if fault is not None and fault.kind == "worker_slow_start":
             fault = None
-        drivers.append(_drive_service(gateway, service_id,
-                                      np.atleast_2d(stream), config, fault,
-                                      report))
+        rows = stream if isinstance(stream, list) else np.atleast_2d(stream)
+        drivers.append(_drive_service(gateway, service_id, rows, config,
+                                      fault, report))
     await asyncio.gather(*drivers)
     report.elapsed_seconds = time.perf_counter() - started
     histogram = gateway.registry.histogram("gateway.ack_seconds")

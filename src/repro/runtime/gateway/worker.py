@@ -6,8 +6,8 @@ shard; the parent talks to it over a duplex pipe with a tiny
 stop-and-wait command protocol:
 
 ``{"op": "update", ...}``
-    Apply one point update (``service``, ``sequence``, ``observation``,
-    ``degraded``) through
+    Apply one point update (``service``, ``sequence``, ``observation``
+    — ``None`` for a dropped sample — and ``degraded``) through
     :meth:`~repro.runtime.serving.ServingRuntime.update` and reply with
     an ``ack`` carrying the scoring outcome.  The sequence number makes
     re-delivery (the parent's retransmit after an ack timeout, or a WAL
@@ -22,11 +22,15 @@ stop-and-wait command protocol:
 ``{"op": "stop"}``
     Snapshot, reply ``bye``, exit cleanly.
 
-On spawn the worker rebuilds deterministically: calibrate every service
-from its (identical every run) history, then overlay the last snapshot
-if one exists.  The parent finishes the job by replaying WAL records
-newer than the snapshot's high-water marks, so *snapshot + replay* is
-bitwise the state of an uninterrupted run.
+On spawn the worker rebuilds deterministically, snapshot first: a
+``repro.serving-state.v2`` snapshot covering exactly the shard's services
+restores the whole serving state (streaming buffers, SPOT, sequence
+marks, sanitizer, breaker and fallback scorer) with no calibration.
+Only without one — first spawn, torn file, v1 format, different service
+set — does it calibrate every service from its (identical every run)
+history.  The parent finishes the job by replaying WAL records newer
+than the restored high-water marks (all of them after a calibration),
+so *snapshot + replay* is bitwise the state of an uninterrupted run.
 
 Fault hooks mirror the training orchestrator's: ``slow_start`` stalls
 the worker before it signals readiness (exercising spawn timeouts and
@@ -57,23 +61,40 @@ __all__ = ["KILLED_EXIT_CODE", "run_shard_worker"]
 
 
 def _build_runtime(payload: dict) -> ServingRuntime:
-    runtime = ServingRuntime(
-        payload["detector"], window=payload["window"], q=payload["q"],
-    )
+    """Restore the shard's runtime from its snapshot, else calibrate it.
+
+    A v2 snapshot that holds exactly the shard's services is the whole
+    serving state: restoring it needs no model forward over history and
+    no SPOT fit, and the parent replays only the WAL records newer than
+    its high-water marks.  A missing, torn or v1 snapshot, or one holding
+    other services, is ignored: every service is calibrated from its
+    history and, with all marks at 0, the parent replays the full WAL.
+    """
+    snapshot_path = payload.get("snapshot_path")
+    if snapshot_path and os.path.exists(snapshot_path):
+        runtime = _new_runtime(payload)
+        try:
+            # A v1 snapshot fails here too: it can only overlay services
+            # that were already calibrated.
+            load_streaming_state(runtime, snapshot_path)
+        except CheckpointError:
+            pass
+        else:
+            if sorted(runtime.services()) == sorted(payload["services"]):
+                return runtime
+    runtime = _new_runtime(payload)
     # Sorted start order keeps calibration deterministic regardless of
     # how the parent happened to order the shard's service dict.
     for service_id in sorted(payload["services"]):
         history = np.asarray(payload["services"][service_id], dtype=float)
         runtime.start_service(service_id, history)
-    snapshot_path = payload.get("snapshot_path")
-    if snapshot_path and os.path.exists(snapshot_path):
-        try:
-            load_streaming_state(runtime, snapshot_path)
-        except CheckpointError:
-            # A torn/corrupt snapshot is recoverable: fall back to the
-            # calibrated baseline and let the parent replay the full WAL.
-            pass
     return runtime
+
+
+def _new_runtime(payload: dict) -> ServingRuntime:
+    return ServingRuntime(
+        payload["detector"], window=payload["window"], q=payload["q"],
+    )
 
 
 def run_shard_worker(payload: dict, conn) -> None:
@@ -115,9 +136,11 @@ def run_shard_worker(payload: dict, conn) -> None:
         if op == "update":
             context = TraceContext.from_wire(command.get("trace"))
             update_started = time.perf_counter()
+            observation = command["observation"]   # None: dropped sample
             outcome = runtime.update(
                 command["service"],
-                np.asarray(command["observation"], dtype=float),
+                None if observation is None
+                else np.asarray(observation, dtype=float),
                 sequence=int(command["sequence"]),
                 force_fallback=bool(command.get("degraded", False)),
                 trace_id=context.trace_id if context is not None else None,

@@ -211,6 +211,40 @@ class ServiceHealth:
             self._transition(HealthState.DEGRADED)
         self.consecutive_successes = 0
 
+    def state_dict(self) -> dict:
+        """JSON-serializable snapshot of the whole state machine."""
+        return {
+            "state": self.state.value,
+            "tick": self._tick,
+            "consecutive_failures": self.consecutive_failures,
+            "consecutive_successes": self.consecutive_successes,
+            "total_failures": self.total_failures,
+            "backoff": self._backoff,
+            "next_probe_tick": self._next_probe_tick,
+            "probing": self._probing,
+            "transitions": [[tick, from_state.value, to_state.value]
+                            for tick, from_state, to_state
+                            in self.transitions],
+        }
+
+    @classmethod
+    def from_state(cls, state: dict,
+                   config: BreakerConfig | None = None) -> "ServiceHealth":
+        """Rebuild a :class:`ServiceHealth` from :meth:`state_dict` output."""
+        health = cls(config)
+        health.state = HealthState(state["state"])
+        health._tick = state["tick"]
+        health.consecutive_failures = state["consecutive_failures"]
+        health.consecutive_successes = state["consecutive_successes"]
+        health.total_failures = state["total_failures"]
+        health._backoff = state["backoff"]
+        health._next_probe_tick = state["next_probe_tick"]
+        health._probing = state["probing"]
+        health.transitions = [
+            (tick, HealthState(from_state), HealthState(to_state))
+            for tick, from_state, to_state in state["transitions"]]
+        return health
+
     def _transition(self, to_state: HealthState) -> None:
         if to_state is self.state:
             return

@@ -182,3 +182,27 @@ class Sanitizer:
             missing_row=missing_row,
             gap_exceeded=gap_exceeded,
         )
+
+    def state_dict(self) -> dict:
+        """JSON-serializable fit (median, clip band) and online state
+        (last clean row, consecutive-imputation count)."""
+        return {
+            "median": self._median.tolist(),
+            "lo": None if self._lo is None else self._lo.tolist(),
+            "hi": None if self._hi is None else self._hi.tolist(),
+            "last": self._last.tolist(),
+            "consecutive_imputed": self._consecutive_imputed,
+        }
+
+    @classmethod
+    def from_state(cls, state: dict,
+                   config: SanitizerConfig | None = None) -> "Sanitizer":
+        """Rebuild a :class:`Sanitizer` from :meth:`state_dict` output."""
+        sanitizer = cls(config)
+        sanitizer._median = np.asarray(state["median"], dtype=float)
+        if state["lo"] is not None:
+            sanitizer._lo = np.asarray(state["lo"], dtype=float)
+            sanitizer._hi = np.asarray(state["hi"], dtype=float)
+        sanitizer._last = np.asarray(state["last"], dtype=float)
+        sanitizer._consecutive_imputed = int(state["consecutive_imputed"])
+        return sanitizer

@@ -38,6 +38,9 @@ from repro.runtime.sanitize import Sanitizer, SanitizerConfig
 
 __all__ = ["SpectralFallbackScorer", "ServingRuntime"]
 
+_STATE_FORMAT = "repro.serving-state.v2"
+_STATE_FORMAT_V1 = "repro.serving-state.v1"
+
 
 class SpectralFallbackScorer:
     """Model-free degraded-mode scorer: spectral distance to calibration.
@@ -109,6 +112,20 @@ class SpectralFallbackScorer:
             for feature, reference in zip(spectrum, self._reference)
         ])
 
+    def state_dict(self) -> dict:
+        """JSON-serializable calibration: reference spectrum + threshold."""
+        return {"reference": self.reference.tolist(),
+                "threshold": self.threshold}
+
+    @classmethod
+    def from_state(cls, state: dict, window: int,
+                   alert_quantile: float = 0.995) -> "SpectralFallbackScorer":
+        """Rebuild a fitted scorer from :meth:`state_dict` output."""
+        scorer = cls(window, alert_quantile=alert_quantile)
+        scorer._reference = np.asarray(state["reference"], dtype=float)
+        scorer.threshold = float(state["threshold"])
+        return scorer
+
     def _normalised_spectrum(self, window_values: np.ndarray) -> np.ndarray:
         window_values = np.atleast_2d(np.asarray(window_values, dtype=float))
         amplitude = rfft_amplitude(window_values.T)     # (features, bins)
@@ -176,13 +193,21 @@ class ServingRuntime:
         fallback = SpectralFallbackScorer(
             self.window, alert_quantile=self.fallback_quantile,
         ).fit(clean)
+        self._install(service_id, sanitizer,
+                      ServiceHealth(self.breaker_config), fallback)
+        self._applied_sequence[service_id] = 0
+
+    def _install(self, service_id: str, sanitizer: Sanitizer,
+                 health: ServiceHealth,
+                 fallback: SpectralFallbackScorer) -> None:
         self._sanitizers[service_id] = sanitizer
-        self._health[service_id] = ServiceHealth(self.breaker_config)
+        self._health[service_id] = health
         self._fallbacks[service_id] = fallback
         self._latency[service_id] = self.registry.histogram(
             "serving.update_seconds", service=service_id)
-        self._reported_transitions[service_id] = 0
-        self._applied_sequence[service_id] = 0
+        # A restored breaker's transitions were already reported by the
+        # runtime that recorded them.
+        self._reported_transitions[service_id] = len(health.transitions)
 
     def services(self) -> tuple:
         return tuple(self._health)
@@ -327,31 +352,83 @@ class ServingRuntime:
         )
 
     def state_dict(self) -> dict:
-        """JSON-serializable snapshot: streaming state + sequence marks.
+        """JSON-serializable snapshot of the whole serving state.
 
-        Wraps :meth:`StreamingDetector.state_dict` with the per-service
-        applied-sequence high-water marks, so a restored runtime resumes
-        duplicate detection exactly where the snapshot left off.
+        Wraps :meth:`StreamingDetector.state_dict` (ring buffers + SPOT)
+        with the per-service applied-sequence high-water marks and, per
+        service, the sanitizer (fit and online state), the full breaker
+        state machine and the fallback scorer's calibration — everything
+        :meth:`load_state_dict` needs to rebuild the runtime without
+        calibrating.
         """
         return {
-            "format": "repro.serving-state.v1",
+            "format": _STATE_FORMAT,
             "streaming": self.streaming.state_dict(),
             "applied_sequence": dict(self._applied_sequence),
+            "services": {
+                service_id: {
+                    "sanitizer": self._sanitizers[service_id].state_dict(),
+                    "health": health.state_dict(),
+                    "fallback": self._fallbacks[service_id].state_dict(),
+                }
+                for service_id, health in self._health.items()
+            },
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output into started services."""
-        if state.get("format") != "repro.serving-state.v1":
+        """Restore :meth:`state_dict` output.
+
+        A v2 snapshot builds every service it holds outright, with no
+        :meth:`start_service` call, and replaces whatever services the
+        runtime had; transitions already in a restored breaker are not
+        reported again.  A v1 snapshot (streaming state and sequence marks
+        only) overlays services that :meth:`start_service` already
+        calibrated.  Either way a snapshot that fails validation leaves
+        the runtime untouched.
+        """
+        fmt = state.get("format")
+        if fmt == _STATE_FORMAT_V1:
+            self._load_v1(state)
+            return
+        if fmt != _STATE_FORMAT:
+            raise ValueError(f"unrecognised serving state format: {fmt!r}")
+        services = state["services"]
+        marks = state["applied_sequence"]
+        if not set(services) == set(marks) == set(
+                state["streaming"]["services"]):
             raise ValueError(
-                f"unrecognised serving state format: {state.get('format')!r}"
+                "serving state lists different services in its streaming, "
+                "sequence and per-service sections"
             )
+        restored = {
+            service_id: (
+                Sanitizer.from_state(entry["sanitizer"],
+                                     self.sanitizer_config),
+                ServiceHealth.from_state(entry["health"],
+                                         self.breaker_config),
+                SpectralFallbackScorer.from_state(
+                    entry["fallback"], self.window,
+                    alert_quantile=self.fallback_quantile),
+            )
+            for service_id, entry in services.items()
+        }
         self.streaming.load_state_dict(state["streaming"])
-        for service_id in self.streaming.services():
+        self._sanitizers, self._health, self._fallbacks = {}, {}, {}
+        self._latency, self._reported_transitions = {}, {}
+        self._applied_sequence = {service_id: int(marks[service_id])
+                                  for service_id in services}
+        for service_id, parts in restored.items():
+            self._install(service_id, *parts)
+
+    def _load_v1(self, state: dict) -> None:
+        """Overlay a v1 snapshot onto already-calibrated services."""
+        for service_id in state["streaming"]["services"]:
             if service_id not in self._health:
                 raise ValueError(
                     f"snapshot holds service {service_id!r} which was never "
                     "started on this runtime; call start_service() first"
                 )
+        self.streaming.load_state_dict(state["streaming"])
         marks = state.get("applied_sequence", {})
         for service_id, mark in marks.items():
             self._applied_sequence[service_id] = int(mark)

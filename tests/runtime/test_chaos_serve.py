@@ -3,15 +3,18 @@
 Acceptance gate (`make chaos-serve`): with seeded delivery faults on the
 full fleet (rate 1.0 >= the 30% floor) *and* workers hard-killed
 mid-traffic in the nastiest window (update applied, ack never sent),
-every acknowledged update must survive — the final worker states must be
+every acknowledged update must survive — the final worker states, the
+full serving state with sanitizer and breaker included, must be
 bitwise-identical to a fault-free baseline, overload must surface as
 explicit retryable rejections (never silent loss), and >= 90% of
-services must converge HEALTHY.
+services must converge HEALTHY.  The served streams carry dropped and
+non-finite samples, so the state crossing each kill is not trivial.
 """
 
 import asyncio
 import json
 
+import numpy as np
 import pytest
 
 from repro.obs.events import read_jsonl
@@ -43,10 +46,27 @@ CHAOS_GATEWAY = dict(workers=2, window=16, seed=0, snapshot_every=25,
                      queue_depth=512, ack_timeout=5.0, backoff_base=0.01)
 
 
+# Services whose stream drops 12 samples in a row early on: past the
+# sanitizer's 10-row gap limit, so the breaker degrades them, and the
+# armed kills land while the gap (or the recovery after it) is open.
+GAPPED = {"svc-3", "svc-4"}
+
+
 def _fleet():
+    """Histories plus served streams as lists of rows, with dropped
+    (``None``) and non-finite rows at fixed places on every service."""
     fleet = make_fleet_series(NUM_SERVICES, HISTORY, UPDATES, seed=0)
     histories = {sid: series[:HISTORY] for sid, series in fleet.items()}
-    streams = {sid: series[HISTORY:] for sid, series in fleet.items()}
+    streams = {}
+    for number, (sid, series) in enumerate(sorted(fleet.items())):
+        rows = [row.copy() for row in series[HISTORY:]]
+        dropped = 5 + 3 * number
+        rows[dropped] = rows[dropped + 1] = None
+        rows[(11 + 5 * number) % UPDATES][0] = np.nan
+        rows[(17 + 2 * number) % UPDATES][1] = np.inf
+        if sid in GAPPED:
+            rows[4:16] = [None] * 12
+        streams[sid] = rows
     return histories, streams
 
 
@@ -91,6 +111,12 @@ def baseline(tmp_path_factory):
     assert report.accepted == TOTAL
     assert report.rejections == {} or report.accepted == TOTAL
     assert all(value == "healthy" for value in health.values())
+    # The compared state holds the breaker's history: the gapped services
+    # went DEGRADED and recovered.
+    breakers = {sid: entry["health"] for state in states.values()
+                for sid, entry in state["services"].items()}
+    assert {sid for sid, breaker in breakers.items()
+            if breaker["transitions"]} == GAPPED
     return {"states": _canonical(states), "accepted": report.accepted}
 
 

@@ -399,3 +399,240 @@ class TestKillThenCollect:
         assert respawns == 1
         assert json.dumps(after, sort_keys=True) == \
             json.dumps(before, sort_keys=True)
+
+
+class TestDroppedSamples:
+    def _gateway(self, directory):
+        fleet = make_fleet_series(2, 64, 6, seed=0)
+        histories = {sid: series[:64] for sid, series in fleet.items()}
+        rows = {sid: [series[64], None, np.array([np.nan, series[66][1]]),
+                      None, series[68], series[69]]
+                for sid, series in fleet.items()}
+        detector = ZScoreDetector().fit(
+            sorted(histories), [histories[sid] for sid in sorted(histories)])
+        config = GatewayConfig(workers=1, window=16, queue_depth=64,
+                               ack_timeout=5.0)
+        gateway = ServingGateway(directory, detector, histories, config)
+        return gateway, histories, rows
+
+    def test_dropped_and_nan_rows_survive_journal_and_failover(self,
+                                                               tmp_path):
+        """A dropped sample is journalled as ``null`` and imputed by the
+        worker exactly as in process, through a kill and WAL replay."""
+        gateway, histories, rows = self._gateway(tmp_path)
+
+        async def session():
+            await gateway.start()
+            try:
+                shard = gateway.shard_of("svc-0")
+                for service_id in sorted(rows):
+                    for sequence, row in enumerate(rows[service_id], 1):
+                        verdict = await gateway.submit(service_id, row,
+                                                       sequence)
+                        assert verdict.accepted
+                # A poisoned shard crash-loops instead of answering.
+                before = await asyncio.wait_for(gateway.collect_states(), 60)
+                gateway.kill_worker(shard)
+                after = await asyncio.wait_for(gateway.collect_states(), 60)
+                await gateway.drain()
+            finally:
+                gateway.close()
+            return shard, before, after
+
+        shard, before, after = asyncio.run(session())
+        journalled = {(r.payload["service"], r.payload["sequence"]):
+                      r.payload["observation"]
+                      for r in read_wal(tmp_path / shard / "wal")}
+        assert len(journalled) == 12
+        assert journalled[("svc-0", 2)] is None
+        assert np.isnan(journalled[("svc-0", 3)][0])
+
+        reference = ServingRuntime(gateway.detector, window=16,
+                                   q=gateway.config.q)
+        for service_id in sorted(histories):
+            reference.start_service(service_id, histories[service_id])
+        for service_id in sorted(rows):
+            for sequence, row in enumerate(rows[service_id], 1):
+                reference.update(service_id, row, sequence=sequence)
+        expected = json.dumps(reference.state_dict(), sort_keys=True)
+        assert json.dumps(before[shard], sort_keys=True) == expected
+        assert json.dumps(after[shard], sort_keys=True) == expected
+
+    def test_wrong_width_row_refused_before_journalling(self, tmp_path):
+        gateway, _, rows = self._gateway(tmp_path)
+
+        async def session():
+            await gateway.start()
+            try:
+                for bad in ([1.0, 2.0, 3.0], np.float64(1.0)):
+                    with pytest.raises(ValueError,
+                                       match="expects 2 features"):
+                        await gateway.submit("svc-0", bad, 1)
+                shard = gateway.shard_of("svc-0")
+                assert gateway.accepted_sequence("svc-0") == 0
+                assert gateway.status()["shards"][shard]["wal_lsn"] == 0
+                verdict = await gateway.submit("svc-0", rows["svc-0"][0], 1)
+                assert verdict.accepted
+                await gateway.drain()
+            finally:
+                gateway.close()
+
+        asyncio.run(session())
+
+
+class _CountingDetector(ZScoreDetector):
+    """Z-score detector that counts ``score`` calls and can be made to
+    fail, so a test can see calibration work and drive the breaker."""
+
+    def __init__(self):
+        super().__init__()
+        self.score_calls = 0
+        self.fail = False
+
+    def score(self, service_id, series):
+        self.score_calls += 1
+        if self.fail:
+            raise RuntimeError("scripted scoring failure")
+        return super().score(service_id, series)
+
+
+class TestSnapshotFirstRespawn:
+    """The worker restores a v2 snapshot instead of calibrating, and
+    falls back to calibration whenever the snapshot cannot stand alone."""
+
+    WINDOW = 16
+
+    def _fleet(self):
+        fleet = make_fleet_series(3, 96, 260, seed=1)
+        histories = {sid: series[:96] for sid, series in fleet.items()}
+        rows = []          # (service, row, sequence, force_fallback)
+        for index in range(260):
+            for number, sid in enumerate(sorted(fleet)):
+                row = fleet[sid][96 + index]
+                if (index + number) % 17 == 3:
+                    row = None
+                elif (index + number) % 13 == 5:
+                    row = row.copy()
+                    row[index % 2] = np.nan if index % 3 else np.inf
+                rows.append((sid, row, index + 1, index % 11 == 7))
+        return histories, rows
+
+    def _payload(self, detector, histories, snapshot_path):
+        return {"detector": detector, "window": self.WINDOW, "q": 1e-3,
+                "services": {sid: history.tolist()
+                             for sid, history in histories.items()},
+                "snapshot_path": str(snapshot_path)}
+
+    def _served(self, detector, histories, rows):
+        """A runtime that served ``rows`` (the breaker tripping midway),
+        as the worker that wrote the snapshot would have."""
+        runtime = ServingRuntime(detector, window=self.WINDOW, q=1e-3)
+        for sid in sorted(histories):
+            runtime.start_service(sid, histories[sid])
+        self._apply(runtime, detector, rows, fail=range(40, 70))
+        return runtime
+
+    @staticmethod
+    def _apply(runtime, detector, rows, fail=()):
+        outcomes = []
+        for index, (sid, row, sequence, degraded) in enumerate(rows):
+            detector.fail = index in fail
+            outcomes.append(runtime.update(sid, row, sequence=sequence,
+                                           force_fallback=degraded))
+        detector.fail = False
+        return outcomes
+
+    @pytest.fixture
+    def counters(self, monkeypatch):
+        from repro.eval.spot import Spot
+
+        counts = {"initialize": 0}
+        initialize = Spot.initialize
+
+        def counting(spot, scores):
+            counts["initialize"] += 1
+            return initialize(spot, scores)
+
+        monkeypatch.setattr(Spot, "initialize", counting)
+        return counts
+
+    def test_v2_snapshot_skips_calibration_and_matches_bitwise(
+            self, tmp_path, counters):
+        from repro.runtime.gateway.worker import _build_runtime
+
+        histories, rows = self._fleet()
+        detector = _CountingDetector().fit(
+            sorted(histories), [histories[sid] for sid in sorted(histories)])
+        served = self._served(detector, histories, rows[:300])
+        path = save_streaming_state(served, tmp_path / "snapshot.json")
+        assert any(health.transitions for health
+                   in (served.health(sid) for sid in served.services()))
+
+        detector.score_calls = counters["initialize"] = 0
+        restored = _build_runtime(self._payload(detector, histories, path))
+        assert detector.score_calls == 0
+        assert counters["initialize"] == 0
+
+        overlaid = ServingRuntime(detector, window=self.WINDOW, q=1e-3)
+        for sid in sorted(histories):
+            overlaid.start_service(sid, histories[sid])
+        load_streaming_state(overlaid, path)
+
+        def canonical(runtime):
+            return json.dumps(runtime.state_dict(), sort_keys=True)
+
+        assert canonical(restored) == canonical(overlaid) == \
+            canonical(served)
+        tail = rows[300:500]
+        assert any(row is None for _, row, _, _ in tail)
+        assert any(row is not None and not np.isfinite(row).all()
+                   for _, row, _, _ in tail)
+        assert any(degraded for _, _, _, degraded in tail)
+        expected = self._apply(served, detector, tail, fail=range(20, 45))
+        for runtime in (restored, overlaid):
+            assert self._apply(runtime, detector, tail,
+                               fail=range(20, 45)) == expected
+            assert canonical(runtime) == canonical(served)
+
+    @pytest.mark.parametrize("damage", ["missing", "torn", "v1",
+                                        "extra_service", "missing_service"])
+    def test_unusable_snapshot_falls_back_to_calibration(
+            self, tmp_path, counters, damage):
+        from repro.runtime.gateway.worker import _build_runtime
+
+        histories, rows = self._fleet()
+        detector = _CountingDetector().fit(
+            sorted(histories), [histories[sid] for sid in sorted(histories)])
+        served = self._served(detector, histories, rows[:120])
+        path = save_streaming_state(served, tmp_path / "snapshot.json")
+        payload_histories = dict(histories)
+        if damage == "missing":
+            path.unlink()
+        elif damage == "torn":
+            path.write_bytes(path.read_bytes()[:len(path.read_bytes()) // 2])
+        elif damage == "v1":
+            state = served.state_dict()
+            del state["services"]
+            state["format"] = "repro.serving-state.v1"
+            path.write_text(json.dumps(state))
+        elif damage == "extra_service":
+            del payload_histories["svc-2"]
+        else:
+            extra = make_fleet_series(4, 96, 1, seed=1)["svc-3"][:96]
+            payload_histories["svc-3"] = extra
+            detector.prepare_service("svc-3", extra)
+
+        detector.score_calls = counters["initialize"] = 0
+        runtime = _build_runtime(
+            self._payload(detector, payload_histories, path))
+        assert counters["initialize"] == len(payload_histories)
+        assert detector.score_calls == len(payload_histories)
+        assert sorted(runtime.services()) == sorted(payload_histories)
+        assert all(runtime.applied_sequence(sid) == 0
+                   for sid in runtime.services())
+
+        calibrated = ServingRuntime(detector, window=self.WINDOW, q=1e-3)
+        for sid in sorted(payload_histories):
+            calibrated.start_service(sid, payload_histories[sid])
+        assert json.dumps(runtime.state_dict(), sort_keys=True) == \
+            json.dumps(calibrated.state_dict(), sort_keys=True)

@@ -1,4 +1,7 @@
-"""ServingRuntime unit behaviour: routing, degradation, fallback scoring."""
+"""ServingRuntime unit behaviour: routing, degradation, fallback scoring,
+and the serving-state snapshot round trip."""
+
+import json
 
 import numpy as np
 import pytest
@@ -6,9 +9,12 @@ import pytest
 from repro.core.detector import AnomalyDetector
 from repro.runtime import (
     BreakerConfig,
+    CheckpointError,
     SanitizerConfig,
     ServingRuntime,
     SpectralFallbackScorer,
+    load_streaming_state,
+    save_streaming_state,
 )
 from repro.runtime.health import HealthState
 
@@ -314,3 +320,160 @@ class TestServingTelemetry:
             runtime.update("svc", row)
         histogram = registry.get("serving.update_seconds", service="svc")
         assert histogram.count == 12
+
+
+def _restore(runtime, tmp_path, registry=None):
+    """Snapshot ``runtime`` and load it into a fresh, never-started
+    runtime sharing its detector and policies."""
+    path = save_streaming_state(runtime, tmp_path / "serving.json")
+    restored = ServingRuntime(
+        runtime.streaming.detector, window=runtime.window,
+        q=runtime.streaming.q, breaker_config=runtime.breaker_config,
+        registry=registry)
+    load_streaming_state(restored, path)
+    return restored
+
+
+def _canonical(runtime):
+    return json.dumps(runtime.state_dict(), sort_keys=True)
+
+
+class TestServingStateRestore:
+    """A snapshot carries the whole serving state: sanitizer, breaker and
+    fallback scorer included, so a restored runtime is indistinguishable
+    from the one that wrote it."""
+
+    def test_dropped_and_nan_rows_score_identically_after_restore(
+            self, runtime, tmp_path):
+        for row in _history(seed=1)[:30]:
+            runtime.update("svc", row)
+        restored = _restore(runtime, tmp_path)
+        assert _canonical(restored) == _canonical(runtime)
+        for row in (None, np.array([np.nan, 0.3])):
+            expected = runtime.update("svc", row)
+            actual = restored.update("svc", row)
+            assert actual.score == expected.score
+            assert actual.is_alert == expected.is_alert
+            assert _canonical(restored) == _canonical(runtime)
+
+    def test_restore_needs_no_start_service(self, runtime, tmp_path):
+        runtime.update("svc", _history(seed=1)[0], sequence=1)
+        restored = _restore(runtime, tmp_path)
+        assert restored.services() == ("svc",)
+        assert restored.applied_sequence("svc") == 1
+        assert _canonical(restored) == _canonical(runtime)
+
+    def test_quarantined_service_stays_quarantined(self, runtime, tmp_path):
+        _detector(runtime).fail = True
+        for row in _history(seed=2)[:6]:
+            runtime.update("svc", row)
+        health = runtime.health("svc")
+        assert health.state is HealthState.QUARANTINED
+        restored = _restore(runtime, tmp_path)
+        assert restored.health("svc").state is HealthState.QUARANTINED
+        assert restored.health("svc").state_dict()["next_probe_tick"] == \
+            health.state_dict()["next_probe_tick"] is not None
+        # Same probe schedule from here on: failing probes, then recovery.
+        for index, row in enumerate(_history(seed=3)[:40]):
+            _detector(runtime).fail = index < 20
+            expected = runtime.update("svc", row)
+            actual = restored.update("svc", row)
+            assert (actual.score, actual.health, actual.used_fallback) == \
+                (expected.score, expected.health, expected.used_fallback)
+        assert _canonical(restored) == _canonical(runtime)
+
+    def test_restore_does_not_report_old_transitions_again(self, runtime,
+                                                           tmp_path):
+        from repro.obs.events import EventLog, install_event_log
+        from repro.obs.metrics import MetricsRegistry
+
+        _detector(runtime).fail = True
+        for row in _history(seed=2)[:6]:
+            runtime.update("svc", row)
+        recorded = len(runtime.health("svc").transitions)
+        assert recorded >= 1
+
+        registry = MetricsRegistry()
+        log = EventLog()
+        previous = install_event_log(log)
+        try:
+            restored = _restore(runtime, tmp_path, registry=registry)
+            calls = []
+            restored.subscribe(lambda *args: calls.append(args))
+            restored.update("svc", _history(seed=3)[0])    # no transition
+            assert restored.health("svc").state is HealthState.QUARANTINED
+            assert len(restored.health("svc").transitions) == recorded
+            assert log.events() == []
+            assert calls == []
+            assert registry.collect("serving.health_transitions") == []
+            assert registry.collect("serving.breaker_trips") == []
+
+            # The next transition is reported once, numbered after the
+            # restored ones.
+            _detector(runtime).fail = False
+            restored.reset_breaker("svc")
+            restored.update("svc", _history(seed=3)[1])
+        finally:
+            install_event_log(previous)
+        events = log.events("health_transition")
+        assert [event["transition_count"] for event in events] == \
+            [recorded + 1]
+        assert len(calls) == 1
+        assert sum(counter.value for counter in registry.collect(
+            "serving.health_transitions")) == 1
+
+    def test_v1_snapshot_still_loads_onto_calibrated_services(self,
+                                                              tmp_path):
+        history = _history()
+        detector = ScriptedDetector().fit(["svc"], [history])
+        runtime = ServingRuntime(detector, window=4, q=1e-2)
+        runtime.start_service("svc", history)
+        calibrated = runtime.state_dict()["services"]["svc"]
+        path = tmp_path / "serving-v1.json"
+        path.write_text(V1_SNAPSHOT)
+        load_streaming_state(runtime, path)
+
+        state = runtime.state_dict()
+        assert state["format"] == "repro.serving-state.v2"
+        assert state["applied_sequence"] == {"svc": 7}
+        stream = state["streaming"]["services"]["svc"]
+        assert stream["buffer"] == [[0.5, -0.25], [1.0, 0.0],
+                                    [0.75, 0.5], [-0.5, 1.25]]
+        assert stream["spot"]["threshold"] == 5.0
+        # v1 holds no sanitizer, breaker or fallback: they stay calibrated.
+        assert state["services"]["svc"] == calibrated
+        outcome = runtime.update("svc", None, sequence=8)
+        assert outcome.ready and outcome.imputed_features == (0, 1)
+
+        # v1 can only overlay: it cannot build services by itself.
+        bare = ServingRuntime(detector, window=4, q=1e-2)
+        with pytest.raises(CheckpointError):
+            load_streaming_state(bare, path)
+        assert bare.services() == ()
+
+
+# A serving-state snapshot as ServingRuntime wrote it before the v2
+# format: streaming state and sequence marks only.
+V1_SNAPSHOT = """{
+  "format": "repro.serving-state.v1",
+  "streaming": {
+    "format": "repro.streaming-state.v1",
+    "window": 4, "q": 0.01, "calibration_level": 0.98,
+    "on_invalid": "impute",
+    "services": {
+      "svc": {
+        "buffer": [[0.5, -0.25], [1.0, 0.0], [0.75, 0.5], [-0.5, 1.25]],
+        "filled": 4,
+        "spot": {
+          "q": 0.01, "level": 0.98, "refit_every": 16,
+          "fit": {"initial_threshold": 2.0, "shape": 0.0, "scale": 1.0,
+                  "num_excesses": 3, "num_samples": 100},
+          "excesses": [0.5, 0.25, 1.0],
+          "num_samples": 107, "pending": 1, "threshold": 5.0
+        }
+      }
+    }
+  },
+  "applied_sequence": {"svc": 7}
+}
+"""
