@@ -1,4 +1,4 @@
-"""Observability overhead gate + first telemetry perf-trajectory point.
+"""Observability overhead gate + the telemetry perf-trajectory point.
 
 Two jobs, one seeded workload:
 
@@ -10,13 +10,19 @@ Two jobs, one seeded workload:
    no-op'd out — paired rounds, order alternating, median of per-round
    differences — and fails when the disabled-path instrumentation costs
    more than the budget (3% relative, with a small absolute floor so
-   scheduler jitter on a fast run cannot trip the ratio).
+   scheduler jitter on a fast run cannot trip the ratio).  The stripped
+   arm swaps out every trainer span, the batch-phase spans included, so
+   the gate covers each call site the trainer has.
 
-2. **BENCH_obs.json**.  One obs-*enabled* run of the same workload
-   (tracing + per-op profiling) plus a serving micro-benchmark, dumped
-   to the repo root as the first point of the telemetry perf trajectory:
-   per-phase span aggregates, top autograd ops, serving update-latency
-   quantiles, and the measured overhead of job 1.
+2. **BENCH_obs.json**.  One tracing-*enabled* run of the same workload
+   plus a serving micro-benchmark and the trace-primitive microbenches,
+   dumped to the repo root as the telemetry perf-trajectory point:
+   per-phase span aggregates (``trainer.batch`` and its forward,
+   backward, clip and step children), serving update-latency quantiles,
+   the per-op cost of the trace propagation hot path
+   (``TraceContext.mint``, ``child``, the wire codec, and
+   ``Histogram.observe`` with and without an exemplar), and the
+   measured overhead of job 1.
 
 Run directly: ``PYTHONPATH=src python benchmarks/bench_obs_overhead.py``.
 """
@@ -32,22 +38,18 @@ from pathlib import Path
 import repro.core.trainer as trainer_mod
 from repro.core import MaceConfig, MaceDetector
 from repro.data import load_dataset
-from repro.obs.metrics import (
-    MetricsRegistry,
-    get_registry,
-    install_registry,
-)
-from repro.obs.tracing import (
-    aggregate_spans,
-    disable_tracing,
-    enable_tracing,
-    profile_ops,
-)
+from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.propagate import TraceContext
+from repro.obs.tracing import aggregate_spans, disable_tracing, enable_tracing
 from repro.runtime import ServingRuntime
 
 REPEATS = 7            # paired rounds (one run per arm each)
+MICRO_ITERS = 20_000   # per-primitive loop count
 RELATIVE_BUDGET = 0.03  # the acceptance bar: <3% disabled-path overhead
 ABSOLUTE_FLOOR = 0.010  # seconds; scheduler jitter can exceed 3% of a fast run
+PHASE_COVERAGE = 0.95   # the four batch phases must sum to >=95% of the batch
+BATCH_SPAN = "trainer.epoch/trainer.batch"
+PHASES = ("forward", "backward", "clip", "step")
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 
@@ -119,8 +121,7 @@ def measure_overhead(dataset, repeats: int = REPEATS) -> dict:
     allocator/cache drift cannot systematically favour either) and the
     overhead estimate is the **median of per-round differences** — a
     load spike hitting one round cannot swing the verdict the way it
-    swings a best-of-N of absolute times.  ``repeats`` is the round
-    count (``bench_obs_trace`` re-verifies the gate with fewer rounds).
+    swings a best-of-N of absolute times.
     """
     disable_tracing()
     shipped, stripped = [], []
@@ -155,26 +156,14 @@ def measure_overhead(dataset, repeats: int = REPEATS) -> dict:
     }
 
 
-def measure_enabled_run(dataset, top_k: int = 8) -> dict:
-    """One obs-enabled fit: per-phase span aggregates + top autograd ops."""
-    previous = get_registry()
-    registry = MetricsRegistry()
-    install_registry(registry)
-    tracer = enable_tracing(trace_memory=False)
+def measure_enabled_run(dataset) -> dict:
+    """One tracing-enabled fit: per-phase span aggregates."""
+    tracer = enable_tracing()
     try:
-        with profile_ops(registry):
-            seconds = _fit_once(dataset)
+        seconds = _fit_once(dataset)
     finally:
         disable_tracing()
-        install_registry(previous)
-    phases = aggregate_spans(tracer.spans)
-    ops = []
-    for histogram in registry.collect("autograd.op_seconds"):
-        labels = dict(histogram.labels)
-        ops.append({"op": labels.get("op", "?"), "calls": histogram.count,
-                    "seconds": histogram.total})
-    ops.sort(key=lambda entry: entry["seconds"], reverse=True)
-    return {"fit_seconds": seconds, "phases": phases, "top_ops": ops[:top_k]}
+    return {"fit_seconds": seconds, "phases": aggregate_spans(tracer.spans)}
 
 
 def measure_serving(dataset, updates: int = 200) -> dict:
@@ -200,11 +189,42 @@ def measure_serving(dataset, updates: int = 200) -> dict:
     }
 
 
+def _per_op_seconds(func, iterations: int = MICRO_ITERS) -> float:
+    func()  # warm-up outside the clock
+    started = time.perf_counter()
+    for _ in range(iterations):
+        func()
+    return (time.perf_counter() - started) / iterations
+
+
+def measure_trace_primitives() -> dict:
+    """Single-pass microbenches; each is thousands of ops so scheduler
+    noise averages out within the loop."""
+    context = TraceContext.mint(seed=0, service_id="svc-0", sequence=17)
+    wire = context.to_wire()
+    histogram = Histogram("bench.ack_seconds")
+    return {
+        "iterations": MICRO_ITERS,
+        "mint_seconds": _per_op_seconds(
+            lambda: TraceContext.mint(0, "svc-0", 17)),
+        "child_seconds": _per_op_seconds(
+            lambda: context.child("worker.update", qualifier="0:1")),
+        "to_wire_seconds": _per_op_seconds(context.to_wire),
+        "from_wire_seconds": _per_op_seconds(
+            lambda: TraceContext.from_wire(wire)),
+        "observe_seconds": _per_op_seconds(
+            lambda: histogram.observe(0.004)),
+        "observe_exemplar_seconds": _per_op_seconds(
+            lambda: histogram.observe(0.004, exemplar=context.trace_id)),
+    }
+
+
 def main() -> int:
     dataset = _dataset()
     overhead = measure_overhead(dataset)
     enabled = measure_enabled_run(dataset)
     serving = measure_serving(dataset)
+    primitives = measure_trace_primitives()
     payload = {
         "benchmark": "obs_overhead",
         "workload": {"dataset": "smd", "services": 2, "train_length": 1024,
@@ -212,9 +232,22 @@ def main() -> int:
         "overhead": overhead,
         "enabled_run": enabled,
         "serving": serving,
+        "trace": {"primitives": primitives},
     }
     BENCH_PATH.write_text(json.dumps(payload, indent=2, default=float))
     print(f"wrote {BENCH_PATH}")
+    phases = enabled["phases"]
+    batch = phases[BATCH_SPAN]["seconds"]
+    covered = sum(phases[f"{BATCH_SPAN}/trainer.{phase}"]["seconds"]
+                  for phase in PHASES)
+    print(f"fit phases: {'+'.join(PHASES)} {covered:.3f}s of "
+          f"trainer.batch {batch:.3f}s ({covered / batch:.1%})")
+    per_submit = (primitives["mint_seconds"] + primitives["to_wire_seconds"]
+                  + primitives["observe_exemplar_seconds"])
+    print(f"trace primitives: mint {primitives['mint_seconds'] * 1e6:.2f} us"
+          f"  child {primitives['child_seconds'] * 1e6:.2f} us"
+          f"  wire codec {(primitives['to_wire_seconds'] + primitives['from_wire_seconds']) * 1e6:.2f} us"
+          f"  (~{per_submit * 1e6:.2f} us per traced submit)")
     print(f"disabled-path overhead: "
           f"{(overhead['overhead_ratio'] - 1.0) * 100:+.2f}% "
           f"({overhead['delta_seconds'] * 1e3:+.1f} ms median paired diff) "
@@ -224,7 +257,12 @@ def main() -> int:
         print("FAIL: disabled-tracing instrumentation exceeds the "
               "overhead budget")
         return 1
-    print("ok: instrumentation fits the overhead budget")
+    if covered < PHASE_COVERAGE * batch:
+        print(f"FAIL: the batch phases cover under {PHASE_COVERAGE:.0%} "
+              "of trainer.batch")
+        return 1
+    print("ok: instrumentation fits the overhead budget and the batch "
+          "phases account for trainer.batch")
     return 0
 
 

@@ -1,16 +1,22 @@
 """``repro.analysis`` — correctness tooling for the NumPy autograd stack.
 
-Three layers, each usable on its own:
+The package imports nothing eagerly: every ``repro.nn`` layer imports
+:mod:`repro.analysis.spec` for its shape contracts, so serving workers and
+trainers would otherwise load every static analyzer.  Import the
+submodule you need (``from repro.analysis.anomaly import detect_anomaly``).
+Each layer is usable on its own:
 
-* :func:`detect_anomaly` — autograd anomaly mode.  Inside the context every
-  op's forward output and backward gradients are checked for NaN/Inf and
-  the first offender is reported with per-op provenance (op name, parent
-  shapes/dtypes, creation stack).  Complemented by tape version counters in
-  :class:`repro.nn.Tensor` that make in-place mutation of a taped tensor
-  raise instead of silently corrupting gradients.
-* :func:`check_model` — static shape/dtype contract checking.  Layers
-  declare ``contract`` methods; ``check_model(model, ("N", 40, 3))``
-  validates an architecture symbolically without running any data.
+* :func:`repro.analysis.anomaly.detect_anomaly` — autograd anomaly mode.
+  Inside the context every op's forward output and backward gradients are
+  checked for NaN/Inf and the first offender is reported with per-op
+  provenance (op name, parent shapes/dtypes, creation stack).
+  Complemented by tape version counters in :class:`repro.nn.Tensor` that
+  make in-place mutation of a taped tensor raise instead of silently
+  corrupting gradients.
+* :func:`repro.analysis.contracts.check_model` — static shape/dtype
+  contract checking.  Layers declare ``contract`` methods;
+  ``check_model(model, ("N", 40, 3))`` validates an architecture
+  symbolically without running any data.
 * :mod:`repro.analysis.lint` — AST lint with repo-specific rules
   (``python -m repro.analysis.lint`` or ``repro lint``).
 * :mod:`repro.analysis.dataflow` / :mod:`repro.analysis.gradflow` —
@@ -29,62 +35,3 @@ Three layers, each usable on its own:
   ``repro analyze --effects`` drives it and gates the audited set against
   ``det_baseline.json``.
 """
-
-from repro.analysis.anomaly import AnomalyError, detect_anomaly
-from repro.analysis.contracts import check_model, input_spec
-from repro.analysis.dataflow import Finding, coverage, propagate
-from repro.analysis.domains import Interval
-from repro.analysis.effects import (
-    ATOMS,
-    EffectAnnotation,
-    EffectSite,
-    RepoModel,
-    analyze_package,
-)
-from repro.analysis.forksafety import FS_RULES, check_fork_safety
-from repro.analysis.purity import (
-    DET_RULES,
-    DETERMINISM_ROOTS,
-    check_roots,
-    det_regressions,
-    effects_report,
-)
-from repro.analysis.gradflow import audit_gradient_flow
-from repro.analysis.lint import Violation, lint_paths, lint_source
-from repro.analysis.spec import ContractError, Dim, TensorSpec, child_contract, merge_dtype
-from repro.analysis.trace import Graph, GraphNode, trace
-
-__all__ = [
-    "AnomalyError",
-    "detect_anomaly",
-    "check_model",
-    "input_spec",
-    "ContractError",
-    "Dim",
-    "TensorSpec",
-    "child_contract",
-    "merge_dtype",
-    "Violation",
-    "lint_paths",
-    "lint_source",
-    "Interval",
-    "Finding",
-    "propagate",
-    "coverage",
-    "Graph",
-    "GraphNode",
-    "trace",
-    "audit_gradient_flow",
-    "ATOMS",
-    "EffectAnnotation",
-    "EffectSite",
-    "RepoModel",
-    "analyze_package",
-    "FS_RULES",
-    "check_fork_safety",
-    "DET_RULES",
-    "DETERMINISM_ROOTS",
-    "check_roots",
-    "det_regressions",
-    "effects_report",
-]

@@ -127,7 +127,8 @@ class MaceTrainer:
         self.model.train()
         # Telemetry (DESIGN.md §11): metric objects are resolved once per
         # fit and only touched at epoch granularity; the per-batch cost is
-        # a span() call, which is a no-op while tracing is disabled.
+        # the batch span and its forward/backward/clip/step phase spans,
+        # each a no-op while tracing is disabled.
         registry = get_registry()
         epoch_seconds = registry.histogram("trainer.epoch_seconds")
         batch_counter = registry.counter("trainer.batches")
@@ -144,10 +145,11 @@ class MaceTrainer:
                         dataset.batches(self.config.batch_size, self.rng)):
                     with span("trainer.batch"):
                         optimizer.zero_grad()
-                        output = self.model(Tensor(batch.windows),
-                                            self.extractor,
-                                            batch.service_id)
-                        loss = self.model.loss(output)
+                        with span("trainer.forward"):
+                            output = self.model(Tensor(batch.windows),
+                                                self.extractor,
+                                                batch.service_id)
+                            loss = self.model.loss(output)
                         if batch_hook is not None:
                             replacement = batch_hook(epoch, batch_index, loss)
                             if replacement is not None:
@@ -161,9 +163,11 @@ class MaceTrainer:
                                 (epoch, batch_index))
                             skipped += 1
                             continue
-                        loss.backward()
-                        norm = clip_grad_norm(self.model.parameters(),
-                                              self.config.grad_clip)
+                        with span("trainer.backward"):
+                            loss.backward()
+                        with span("trainer.clip"):
+                            norm = clip_grad_norm(self.model.parameters(),
+                                                  self.config.grad_clip)
                         if not np.isfinite(norm):
                             # Finite loss but exploded/NaN gradients (e.g. an
                             # injected nan_grad fault downstream of the loss).
@@ -171,7 +175,8 @@ class MaceTrainer:
                                 (epoch, batch_index))
                             skipped += 1
                             continue
-                        optimizer.step()
+                        with span("trainer.step"):
+                            optimizer.step()
                         epoch_loss += loss_value
                         epoch_norm += norm
                         batches += 1

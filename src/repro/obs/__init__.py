@@ -9,10 +9,9 @@ reproduction measures it from the inside (DESIGN.md §11):
     cross-process merge.
 ``repro.obs.tracing``
     :class:`SpanRecord`, the one span schema, and nested context-manager
-    spans (wall time + optional ``tracemalloc`` deltas) with a
-    near-zero-cost disabled path so call sites can live in hot loops
-    permanently; plus :func:`profile_ops`, the autograd op-hook latency
-    profiler.
+    wall-time spans with a near-zero-cost disabled path so call sites can
+    live in hot loops permanently; the trainer's forward, backward, clip
+    and step spans are the in-process breakdown of fit time.
 ``repro.obs.events``
     Append-only schema-versioned JSONL event log: health transitions,
     breaker trips, checkpoint saves/rewinds, fleet retries,
@@ -20,9 +19,8 @@ reproduction measures it from the inside (DESIGN.md §11):
     (:class:`~repro.obs.events.JsonlSink`) and the one torn-line-tolerant
     reader (:func:`read_jsonl`) behind every telemetry file.
 ``repro.obs.report``
-    ``repro obs report`` — per-phase time/memory breakdown, top-k ops,
-    epoch timeline and fleet attempt tables from a run directory's JSONL
-    artifacts alone.
+    ``repro obs report`` — per-phase time breakdown, epoch timeline and
+    fleet attempt tables from a run directory's JSONL artifacts alone.
 ``repro.obs.propagate``
     Cross-process trace propagation: the deterministic
     :class:`TraceContext` minted for every update at gateway admission,
@@ -67,7 +65,6 @@ from repro.obs.tracing import (
     current_tracer,
     disable_tracing,
     enable_tracing,
-    profile_ops,
     span,
     tracing_enabled,
 )
@@ -91,7 +88,7 @@ __all__ = [
     "DEFAULT_BUCKETS", "DEFAULT_QUANTILES",
     "get_registry", "install_registry",
     "SpanRecord", "Tracer", "span", "enable_tracing", "disable_tracing",
-    "tracing_enabled", "current_tracer", "profile_ops",
+    "tracing_enabled", "current_tracer",
     "EventLog", "EVENT_KINDS", "SCHEMA_VERSION", "emit", "get_event_log",
     "install_event_log", "read_jsonl",
     "TraceContext", "TraceLog", "build_trace_tree", "render_trace_tree",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import AnomalyError, detect_anomaly
+from repro.analysis.anomaly import AnomalyError, detect_anomaly
 from repro.nn import autograd
 from repro.nn.tensor import Tensor
 

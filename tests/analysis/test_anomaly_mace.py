@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import repro.core.dualistic as dualistic
-from repro.analysis import AnomalyError, detect_anomaly
+from repro.analysis.anomaly import AnomalyError, detect_anomaly
 from repro.core import MaceConfig, MaceModel, PatternExtractor
 from repro.nn.tensor import Tensor
 

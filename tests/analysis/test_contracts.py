@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import check_model, input_spec
+from repro.analysis.contracts import check_model, input_spec
 from repro.analysis.spec import ContractError, Dim, TensorSpec
 from repro.core import MaceConfig, MaceModel
 from repro.core.dualistic import DualisticConv1d, TimeDomainAmplifier

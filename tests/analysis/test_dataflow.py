@@ -14,7 +14,7 @@ import inspect
 import numpy as np
 import pytest
 
-from repro.analysis import check_model
+from repro.analysis.contracts import check_model
 from repro.analysis.dataflow import coverage, propagate
 from repro.analysis.domains import Interval
 from repro.analysis.gradflow import audit_gradient_flow

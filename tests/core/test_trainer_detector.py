@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import MaceConfig, MaceDetector, MaceTrainer, timeline_scores
+from repro.nn.tensor import Tensor
+from repro.obs.tracing import disable_tracing, enable_tracing
 
 
 def _fast_config(**overrides):
@@ -50,6 +52,59 @@ class TestTrainer:
         windows = np.stack([unseen.test[i:i + 40] for i in range(4)])
         errors = trainer.window_errors(unseen.service_id, windows)
         assert errors.shape == (4, 40)
+
+
+PHASES = ["trainer.forward", "trainer.backward", "trainer.clip",
+          "trainer.step"]
+
+
+def _phases_per_batch(spans):
+    """The phase-span names recorded inside each ``trainer.batch``.
+
+    A span is recorded when it closes, so a batch's phases precede it.
+    """
+    batches, pending = [], []
+    for record in spans:
+        if record.name == "trainer.batch":
+            batches.append(pending)
+            pending = []
+        elif record.name in PHASES:
+            assert record.path == f"trainer.epoch/trainer.batch/{record.name}"
+            pending.append(record.name)
+    assert not pending
+    return batches
+
+
+class TestPhaseSpans:
+    """With tracing on, each batch splits into forward/backward/clip/step."""
+
+    def _fit(self, dataset, batch_hook=None):
+        trainer = MaceTrainer(_fast_config())
+        tracer = enable_tracing()
+        try:
+            trainer.fit([s.service_id for s in dataset],
+                        [s.train for s in dataset], batch_hook=batch_hook)
+        finally:
+            disable_tracing()
+        return trainer, _phases_per_batch(tracer.spans)
+
+    def test_each_finite_batch_records_every_phase_once(self, tiny_dataset):
+        trainer, batches = self._fit(tiny_dataset)
+        assert not trainer.history.nonfinite_batches
+        assert len(batches) > 2
+        assert all(phases == PHASES for phases in batches)
+
+    def test_nonfinite_loss_batch_records_forward_only(self, tiny_dataset):
+        def poison(epoch, batch_index, loss):
+            if (epoch, batch_index) == (0, 1):
+                return Tensor(np.array(np.nan))
+            return None
+
+        trainer, batches = self._fit(tiny_dataset, batch_hook=poison)
+        assert trainer.history.nonfinite_batches == [(0, 1)]
+        assert batches[1] == ["trainer.forward"]
+        assert all(phases == PHASES
+                   for index, phases in enumerate(batches) if index != 1)
 
 
 class TestDetector:
