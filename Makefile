@@ -59,11 +59,14 @@ chaos-train:
 # dropped and non-finite samples in the streams; zero acknowledged
 # updates may be lost — the full serving state of every worker, sanitizer
 # and breaker included, must match the fault-free baseline bitwise — and
-# >=90% of services must end HEALTHY.  Also runs the snapshot restore and
-# snapshot-first respawn tests that state depends on.
+# >=90% of services must end HEALTHY.  Also runs the tests that state
+# depends on: snapshot restore (a literal v2 fixture included), the
+# refusal of every snapshot format a target does not load, dropped
+# samples, and snapshot-first respawn.
 chaos-serve:
 	$(PYTHON) -m pytest tests/runtime/test_chaos_serve.py \
 	    tests/runtime/test_serving.py::TestServingStateRestore \
+	    tests/runtime/test_gateway.py::TestServingStateSnapshot \
 	    tests/runtime/test_gateway.py::TestDroppedSamples \
 	    tests/runtime/test_gateway.py::TestSnapshotFirstRespawn -q
 

@@ -13,13 +13,11 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.frequency.basis import FourierBasis, num_rfft_bins
 from repro.frequency.context_aware import (
     ContextAwareDFT,
     ContextAwareIDFT,
     ServiceSubspace,
     SubspaceBank,
-    count_basis_incidence,
 )
 
 __all__ = ["PatternExtractor"]
@@ -36,9 +34,6 @@ class PatternExtractor:
         self.bank = SubspaceBank(window, num_bases, stride=stride,
                                  include_dc=include_dc)
         self._transforms: Dict[str, Tuple[ContextAwareDFT, ContextAwareIDFT]] = {}
-        # Per-service, per-feature basis-incidence counts; kept so
-        # update_service() can adapt subspaces incrementally.
-        self._counts: Dict[str, list] = {}
 
     def fit(self, service_ids: Sequence[str],
             train_series: Sequence[np.ndarray]) -> "PatternExtractor":
@@ -53,64 +48,10 @@ class PatternExtractor:
             series = series[:, None]
         if self.context_aware:
             subspace = self.bank.fit_service(service_id, series)
-            from repro.frequency.context_aware import _sliding_windows
-
-            self._counts[service_id] = [
-                count_basis_incidence(
-                    _sliding_windows(series[:, f], self.window,
-                                     self.bank.stride),
-                    self.num_bases,
-                ).astype(float)
-                for f in range(series.shape[1])
-            ]
         else:
             # Ablation: vanilla DFT/IDFT over the complete spectrum.
             subspace = ServiceSubspace.full_spectrum(self.window, series.shape[1])
             self.bank.add(service_id, subspace)
-        self._transforms.pop(service_id, None)
-        return subspace
-
-    def update_service(self, service_id: str, new_series: np.ndarray,
-                       decay: float = 0.9) -> ServiceSubspace:
-        """Adapt a service's subspace to fresh normal data (pattern drift).
-
-        Incremental counterpart of :meth:`fit_service`: the stored
-        basis-incidence counts are exponentially decayed and the counts
-        from ``new_series``' windows are added, then the top bases are
-        re-selected.  Cheap (one counting pass), no gradient steps — the
-        streaming analogue of the paper's preprocessing stage.
-        """
-        if not 0.0 <= decay <= 1.0:
-            raise ValueError("decay must be in [0, 1]")
-        if not self.context_aware:
-            return self.bank.get(service_id)
-        if new_series.ndim == 1:
-            new_series = new_series[:, None]
-        counts = self._counts.get(service_id)
-        if counts is None:
-            return self.fit_service(service_id, new_series)
-        from repro.frequency.context_aware import (
-            _sliding_windows,
-            select_dominant_bases,
-        )
-
-        bases = []
-        for feature in range(new_series.shape[1]):
-            windows = _sliding_windows(new_series[:, feature], self.window,
-                                       self.bank.stride)
-            fresh = count_basis_incidence(windows, self.num_bases)
-            counts[feature] = decay * counts[feature] + fresh
-            order = np.argsort(counts[feature], kind="stable")[::-1]
-            selected = [0] if self.bank.include_dc else []
-            for index in order:
-                if len(selected) >= min(self.num_bases,
-                                        num_rfft_bins(self.window)):
-                    break
-                if int(index) not in selected:
-                    selected.append(int(index))
-            bases.append(FourierBasis(self.window, sorted(selected)))
-        subspace = ServiceSubspace(bases)
-        self.bank.add(service_id, subspace)
         self._transforms.pop(service_id, None)
         return subspace
 

@@ -7,19 +7,20 @@ newest timestamp's error through a streaming SPOT threshold — the
 deployment loop for the paper's C2 setting (heavy traffic, real time).
 
 Robustness contract: observations are validated *before* they enter the
-ring buffer.  A NaN/Inf observation either raises (default) or is imputed
-from the previous row, depending on ``on_invalid`` — it is never written
-through silently, because one poisoned row corrupts every window for the
-next ``window`` updates.  The fault-tolerant serving loop in
-:mod:`repro.runtime` builds on the ``observe``/``score_current`` split so
-that buffers keep advancing even while a service's model path is
-quarantined.
+ring buffer.  A NaN/Inf observation raises ``ValueError`` — it is never
+written through, because one poisoned row corrupts every window for the
+next ``window`` updates; repairing dirty input is the job of
+:class:`repro.runtime.Sanitizer` upstream.  ``start_service`` fills the
+buffer from history, so every update scores a full window.  The
+fault-tolerant serving loop in :mod:`repro.runtime` builds on the
+``observe``/``score_current`` split so that buffers keep advancing even
+while a service's model path is quarantined.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -28,21 +29,22 @@ from repro.eval.spot import Spot
 
 __all__ = ["StreamUpdate", "StreamingDetector"]
 
-_ON_INVALID = ("raise", "impute")
+# SPOT's initial threshold level: the calibration-score quantile above
+# which the tail is fitted.
+_CALIBRATION_LEVEL = 0.98
 
 
 @dataclass(frozen=True)
 class StreamUpdate:
     """Outcome of feeding one observation to the stream.
 
-    The first four fields are the original scoring outcome; the remaining
+    The first three fields are the original scoring outcome; the remaining
     fields report what the fault-tolerance layer did to produce it (they
     keep their defaults on the plain, healthy path).
     """
 
     score: float
     is_alert: bool
-    ready: bool          # False while the window buffer is still filling
     threshold: float
     health: str = "healthy"          # HealthState.value of the service
     used_fallback: bool = False      # score came from the degraded-mode scorer
@@ -61,7 +63,6 @@ class _ServiceStream:
 
     def __init__(self, window: int, num_features: int, spot: Spot):
         self.buffer = np.zeros((window, num_features))
-        self.filled = 0
         self.spot = spot
 
 
@@ -76,25 +77,15 @@ class StreamingDetector:
         scored through its public API.
     window:
         Window length the detector expects.
-    q, calibration_quantile:
-        SPOT alert rate and initial level.
-    on_invalid:
-        What to do with a NaN/Inf observation: ``"raise"`` (default)
-        rejects it with a ``ValueError``; ``"impute"`` repairs the
-        non-finite features from the previous buffered row before it is
-        written.  Either way a non-finite value never enters the buffer.
+    q:
+        SPOT alert rate.
     """
 
     def __init__(self, detector: AnomalyDetector, window: int = 40,
-                 q: float = 1e-3, calibration_level: float = 0.98,
-                 on_invalid: str = "raise"):
-        if on_invalid not in _ON_INVALID:
-            raise ValueError(f"on_invalid must be one of {_ON_INVALID}")
+                 q: float = 1e-3):
         self.detector = detector
         self.window = window
         self.q = q
-        self.calibration_level = calibration_level
-        self.on_invalid = on_invalid
         self._streams: Dict[str, _ServiceStream] = {}
 
     def start_service(self, service_id: str, recent_history: np.ndarray) -> None:
@@ -115,54 +106,42 @@ class StreamingDetector:
                 "(e.g. with repro.runtime.Sanitizer) before start_service()"
             )
         scores = self.detector.score(service_id, history)
-        spot = Spot(q=self.q, level=self.calibration_level)
+        spot = Spot(q=self.q, level=_CALIBRATION_LEVEL)
         spot.initialize(scores)
         stream = _ServiceStream(self.window, history.shape[1], spot)
         stream.buffer[:] = history[-self.window:]
-        stream.filled = self.window
         self._streams[service_id] = stream
 
     def services(self) -> tuple:
         """IDs of every started service."""
         return tuple(self._streams)
 
-    def observe(self, service_id: str,
-                observation: np.ndarray) -> Optional[np.ndarray]:
+    def observe(self, service_id: str, observation: np.ndarray) -> np.ndarray:
         """Push one observation into the ring buffer **without scoring**.
 
-        Returns the current ``(window, features)`` view once the buffer is
-        full, else ``None``.  This is the half of :meth:`update` that must
-        always run — even when the model path is broken — so the window
-        stays current for fallback scoring and later re-admission.
+        Returns the current ``(window, features)`` view.  This is the half
+        of :meth:`update` that must always run — even when the model path
+        is broken — so the window stays current for fallback scoring and
+        later re-admission.
         """
         stream = self._require_stream(service_id)
         observation = self._validate(stream, observation)
         stream.buffer = np.roll(stream.buffer, -1, axis=0)
         stream.buffer[-1] = observation
-        stream.filled = min(stream.filled + 1, self.window)
-        if stream.filled < self.window:
-            return None
         return stream.buffer
 
     def score_current(self, service_id: str) -> float:
         """Model score of the newest timestamp in the buffered window."""
         stream = self._require_stream(service_id)
-        if stream.filled < self.window:
-            raise RuntimeError(
-                f"service {service_id!r} buffer holds {stream.filled} of "
-                f"{self.window} points; cannot score yet"
-            )
         return float(self._window_error(service_id, stream.buffer))
 
     def update(self, service_id: str, observation: np.ndarray) -> StreamUpdate:
         """Feed one multivariate observation; score its timestamp."""
         stream = self._require_stream(service_id)
-        window = self.observe(service_id, observation)
-        if window is None:
-            return StreamUpdate(0.0, False, False, stream.spot.threshold)
+        self.observe(service_id, observation)
         score = self.score_current(service_id)
         is_alert = stream.spot.step(score)
-        return StreamUpdate(score, is_alert, True, stream.spot.threshold)
+        return StreamUpdate(score, is_alert, stream.spot.threshold)
 
     def step_threshold(self, service_id: str, score: float) -> bool:
         """Feed a finite score through the service's SPOT; returns alert.
@@ -188,18 +167,14 @@ class StreamingDetector:
                 f"got {observation.size}"
             )
         finite = np.isfinite(observation)
-        if finite.all():
-            return observation
-        if self.on_invalid == "raise":
+        if not finite.all():
             bad = np.flatnonzero(~finite).tolist()
             raise ValueError(
                 f"observation has non-finite values in features {bad}; "
-                "pass on_invalid='impute' or sanitize upstream — a "
+                "sanitize upstream (repro.runtime.Sanitizer) — a "
                 f"poisoned row corrupts the next {self.window} windows"
             )
-        repaired = observation.copy()
-        repaired[~finite] = stream.buffer[-1][~finite]
-        return repaired
+        return observation
 
     def _window_error(self, service_id: str, window_values: np.ndarray) -> float:
         """Newest-timestamp error of the current window."""
@@ -224,12 +199,9 @@ class StreamingDetector:
             "format": "repro.streaming-state.v1",
             "window": self.window,
             "q": self.q,
-            "calibration_level": self.calibration_level,
-            "on_invalid": self.on_invalid,
             "services": {
                 service_id: {
                     "buffer": stream.buffer.tolist(),
-                    "filled": stream.filled,
                     "spot": stream.spot.state_dict(),
                 }
                 for service_id, stream in self._streams.items()
@@ -258,6 +230,5 @@ class StreamingDetector:
             stream = _ServiceStream(self.window, buffer.shape[1],
                                     Spot.from_state(payload["spot"]))
             stream.buffer[:] = buffer
-            stream.filled = int(payload["filled"])
             streams[service_id] = stream
         self._streams = streams

@@ -8,7 +8,8 @@ serving path and the training loop with the four pieces a real deployment
 needs:
 
 ``repro.runtime.sanitize``
-    Input validation/repair in front of the ring buffer (impute + clip).
+    Input repair in front of the ring buffer (last-clean-row impute +
+    clip to a fixed robust band), so the buffer only ever sees finite rows.
 ``repro.runtime.health``
     Per-service ``HEALTHY → DEGRADED → QUARANTINED`` state machine with an
     exponential-backoff circuit breaker.
@@ -17,7 +18,9 @@ needs:
     quarantined services to a cheap spectral fallback scorer.
 ``repro.runtime.checkpoint``
     Crash-safe training checkpoints (resume is bit-for-bit identical) and
-    live streaming-state snapshots (restart without recalibration).
+    live snapshots, one format per target (``repro.serving-state.v2`` for
+    a runtime, ``repro.streaming-state.v1`` for a bare detector), that
+    restart serving without recalibration.
 ``repro.runtime.faults``
     Deterministic, seeded fault injection driving the chaos test suite.
 ``repro.runtime.divergence``
@@ -84,11 +87,7 @@ from repro.runtime.health import (
     HealthState,
     ServiceHealth,
 )
-from repro.runtime.sanitize import (
-    SanitizationReport,
-    Sanitizer,
-    SanitizerConfig,
-)
+from repro.runtime.sanitize import SanitizationReport, Sanitizer
 from repro.runtime.orchestrator import (
     AttemptRecord,
     FleetConfig,
@@ -110,7 +109,7 @@ from repro.runtime.remediation import (
 from repro.runtime.serving import ServingRuntime, SpectralFallbackScorer
 
 __all__ = [
-    "SanitizerConfig", "Sanitizer", "SanitizationReport",
+    "Sanitizer", "SanitizationReport",
     "HealthState", "BreakerConfig", "ServiceHealth",
     "ServingRuntime", "SpectralFallbackScorer",
     "Checkpointer", "CheckpointError", "TrainingCheckpoint",

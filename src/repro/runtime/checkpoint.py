@@ -12,9 +12,12 @@ previous complete checkpoint or nothing — never a truncated archive that
 a later resume would half-load.
 
 Streaming snapshots serialise a :class:`~repro.core.streaming
-.StreamingDetector`'s ring buffers + SPOT state, or a whole
-:class:`~repro.runtime.serving.ServingRuntime`, so a serving process can
-restart without re-running per-service calibration.
+.StreamingDetector`'s ring buffers + SPOT state
+(``repro.streaming-state.v1``), or a whole
+:class:`~repro.runtime.serving.ServingRuntime`
+(``repro.serving-state.v2``), so a serving process can restart without
+re-running per-service calibration.  Each target loads exactly its own
+format.
 """
 
 from __future__ import annotations
@@ -50,9 +53,7 @@ __all__ = [
 
 _FORMAT = "repro.training-checkpoint.v1"
 _STREAM_FORMAT = "repro.streaming-state.v1"
-# ServingRuntime.state_dict() formats: v1 holds the streaming state and
-# sequence marks; v2 adds each service's sanitizer, breaker and fallback.
-_SERVING_FORMATS = ("repro.serving-state.v1", "repro.serving-state.v2")
+_SERVING_FORMAT = "repro.serving-state.v2"
 _MODEL_PREFIX = "model/"
 _OPTIM_PREFIX = "optim/"
 
@@ -277,20 +278,13 @@ def save_streaming_state(streaming, path: str | Path) -> Path:
 def load_streaming_state(streaming, path: str | Path) -> None:
     """Restore a snapshot written by :func:`save_streaming_state`.
 
-    What each format restores into a
-    :class:`~repro.runtime.serving.ServingRuntime`:
-
-    * ``repro.serving-state.v2`` rebuilds every service it holds, with no
-      calibration: streaming state, sequence marks, sanitizer, breaker and
-      fallback scorer.
-    * ``repro.serving-state.v1`` (written before v2) overlays streaming
-      state and sequence marks onto services ``start_service`` already
-      calibrated; sanitizer and breaker keep their calibrated state.
-    * ``repro.streaming-state.v1`` overlays streaming state onto
-      calibrated services and leaves the marks at their current values.
-
-    Restored into a bare :class:`StreamingDetector`, a serving snapshot
-    loads its streaming state and discards the rest.
+    A :class:`~repro.runtime.serving.ServingRuntime` loads only
+    ``repro.serving-state.v2``, which rebuilds every service it holds with
+    no calibration: streaming state, sequence marks, sanitizer, breaker
+    and fallback scorer.  A bare :class:`StreamingDetector` loads only
+    ``repro.streaming-state.v1``.  Any other file — another format, the
+    other target's format, or one that does not match the target — raises
+    :class:`CheckpointError`.
     """
     path = Path(path)
     if not path.is_file():
@@ -303,16 +297,12 @@ def load_streaming_state(streaming, path: str | Path) -> None:
         ) from error
     if not isinstance(state, dict):
         raise CheckpointError(f"{path} is not a streaming state snapshot")
-    fmt = state.get("format")
-    is_serving_target = hasattr(streaming, "streaming")
-    if fmt in _SERVING_FORMATS and not is_serving_target:
-        state = state["streaming"]              # keep only streaming state
-        fmt = state.get("format") if isinstance(state, dict) else None
-    elif fmt == _STREAM_FORMAT and is_serving_target:
-        streaming = streaming.streaming         # marks stay as they are
-    if fmt != _STREAM_FORMAT and fmt not in _SERVING_FORMATS:
+    expected = (_SERVING_FORMAT if hasattr(streaming, "streaming")
+                else _STREAM_FORMAT)
+    if state.get("format") != expected:
         raise CheckpointError(
-            f"{path} is not a streaming state snapshot"
+            f"{path} is not a streaming state snapshot this target loads "
+            f"(format {state.get('format')!r}, expected {expected!r})"
         )
     try:
         streaming.load_state_dict(state)

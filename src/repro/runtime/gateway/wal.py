@@ -43,7 +43,7 @@ import re
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Tuple
 
 from repro.nn.serialization import fsync_directory
 
@@ -79,9 +79,21 @@ def _encode(payload: dict) -> bytes:
             + zlib.crc32(body).to_bytes(4, "little") + body)
 
 
+def _list_segments(directory: Path) -> List[Path]:
+    """Every segment file under ``directory``, in segment order."""
+    found = [(int(match.group(1)), entry)
+             for entry in directory.iterdir()
+             if (match := _SEGMENT_PATTERN.match(entry.name))]
+    return [entry for _, entry in sorted(found)]
+
+
 def _decode_segment(data: bytes, path: Path, start_lsn: int,
-                    final_segment: bool) -> List[WalRecord]:
-    """Decode one segment's bytes; tolerate a torn tail only when allowed."""
+                    final_segment: bool) -> Tuple[List[WalRecord], int]:
+    """Decode one segment's bytes; tolerate a torn tail only when allowed.
+
+    Returns the records and the byte length of the valid prefix they
+    occupy (shorter than ``data`` only when a torn tail was dropped).
+    """
     records: List[WalRecord] = []
     offset = 0
     lsn = start_lsn
@@ -123,7 +135,7 @@ def _decode_segment(data: bytes, path: Path, start_lsn: int,
         records.append(WalRecord(lsn=lsn, payload=payload))
         lsn += 1
         offset += _HEADER_BYTES + length
-    return records
+    return records, offset
 
 
 class WriteAheadLog:
@@ -156,28 +168,17 @@ class WriteAheadLog:
         self._recover()
 
     # ------------------------------------------------------------------
-    def _segments(self) -> List[Path]:
-        found = [(int(match.group(1)), entry)
-                 for entry in self.directory.iterdir()
-                 if (match := _SEGMENT_PATTERN.match(entry.name))]
-        return [entry for _, entry in sorted(found)]
-
     def _recover(self) -> None:
-        segments = self._segments()
+        segments = _list_segments(self.directory)
         lsn = 0
         for position, segment in enumerate(segments):
             final = position == len(segments) - 1
-            records = _decode_segment(segment.read_bytes(), segment, lsn,
-                                      final_segment=final)
+            records, valid_bytes = _decode_segment(
+                segment.read_bytes(), segment, lsn, final_segment=final)
             lsn += len(records)
             if final:
                 # Physically drop any torn tail so future appends start
                 # clean at a record boundary.
-                valid_bytes = sum(
-                    _HEADER_BYTES + len(json.dumps(r.payload, sort_keys=True)
-                                        .encode("utf-8"))
-                    for r in records
-                )
                 if valid_bytes < segment.stat().st_size:
                     with open(segment, "rb+") as handle:
                         handle.truncate(valid_bytes)
@@ -238,18 +239,6 @@ class WriteAheadLog:
         self._file.close()
         self._open_segment(self._segment_index + 1)
 
-    # ------------------------------------------------------------------
-    def records(self, start_lsn: int = 0) -> List[WalRecord]:
-        """Re-read records from disk, from ``start_lsn`` on.
-
-        Pending appends are flushed first, so the result is exactly what
-        a post-crash recovery would replay plus anything buffered in
-        this process.
-        """
-        if self._file is not None:
-            self._file.flush()
-        return read_wal(self.directory, start_lsn=start_lsn)
-
     def close(self) -> None:
         if self._file is not None:
             self.commit()
@@ -263,28 +252,18 @@ class WriteAheadLog:
         self.close()
 
 
-def read_wal(directory: str | Path,
-             start_lsn: int = 0,
-             expect_segments: Optional[int] = None) -> List[WalRecord]:
+def read_wal(directory: str | Path, start_lsn: int = 0) -> List[WalRecord]:
     """Decode every record under a WAL directory, in LSN order.
 
     A torn final record in the last segment is dropped; any other damage
     raises :class:`WalCorruptionError`.
     """
-    directory = Path(directory)
-    found = [(int(match.group(1)), entry)
-             for entry in directory.iterdir()
-             if (match := _SEGMENT_PATTERN.match(entry.name))]
-    segments = [entry for _, entry in sorted(found)]
-    if expect_segments is not None and len(segments) != expect_segments:
-        raise WalCorruptionError(
-            f"{directory}: expected {expect_segments} segments, "
-            f"found {len(segments)}"
-        )
+    segments = _list_segments(Path(directory))
     records: List[WalRecord] = []
     for position, segment in enumerate(segments):
-        records.extend(_decode_segment(
+        decoded, _ = _decode_segment(
             segment.read_bytes(), segment, len(records),
             final_segment=position == len(segments) - 1,
-        ))
+        )
+        records.extend(decoded)
     return [record for record in records if record.lsn >= start_lsn]

@@ -26,11 +26,12 @@ On spawn the worker rebuilds deterministically, snapshot first: a
 ``repro.serving-state.v2`` snapshot covering exactly the shard's services
 restores the whole serving state (streaming buffers, SPOT, sequence
 marks, sanitizer, breaker and fallback scorer) with no calibration.
-Only without one — first spawn, torn file, v1 format, different service
-set — does it calibrate every service from its (identical every run)
-history.  The parent finishes the job by replaying WAL records newer
-than the restored high-water marks (all of them after a calibration),
-so *snapshot + replay* is bitwise the state of an uninterrupted run.
+Only without one — first spawn, a torn or otherwise unloadable file
+(any other format included), a different service set — does it
+calibrate every service from its (identical every run) history.  The
+parent finishes the job by replaying WAL records newer than the restored
+high-water marks (all of them after a calibration), so *snapshot +
+replay* is bitwise the state of an uninterrupted run.
 
 Fault hooks mirror the training orchestrator's: ``slow_start`` stalls
 the worker before it signals readiness (exercising spawn timeouts and
@@ -66,16 +67,15 @@ def _build_runtime(payload: dict) -> ServingRuntime:
     A v2 snapshot that holds exactly the shard's services is the whole
     serving state: restoring it needs no model forward over history and
     no SPOT fit, and the parent replays only the WAL records newer than
-    its high-water marks.  A missing, torn or v1 snapshot, or one holding
-    other services, is ignored: every service is calibrated from its
-    history and, with all marks at 0, the parent replays the full WAL.
+    its high-water marks.  A missing or unloadable snapshot (torn, or in
+    any format but v2), or one holding other services, is ignored: every
+    service is calibrated from its history and, with all marks at 0, the
+    parent replays the full WAL.
     """
     snapshot_path = payload.get("snapshot_path")
     if snapshot_path and os.path.exists(snapshot_path):
         runtime = _new_runtime(payload)
         try:
-            # A v1 snapshot fails here too: it can only overlay services
-            # that were already calibrated.
             load_streaming_state(runtime, snapshot_path)
         except CheckpointError:
             pass
@@ -178,7 +178,6 @@ def run_shard_worker(payload: dict, conn) -> None:
                 "sequence": int(command["sequence"]),
                 "score": outcome.score,
                 "is_alert": outcome.is_alert,
-                "ready": outcome.ready,
                 "duplicate": outcome.duplicate,
                 "used_fallback": outcome.used_fallback,
                 "health": outcome.health,

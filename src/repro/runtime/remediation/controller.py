@@ -299,12 +299,8 @@ class RemediationController:
     # ------------------------------------------------------------------
     def _diagnose(self, incident: Incident, tick: int) -> Diagnosis:
         service_id = incident.service_id
-        window = self.runtime.current_window(service_id)
         fallback = self.runtime.fallback(service_id)
-        if window is not None:
-            drift = fallback.feature_drift(window)
-        else:
-            drift = np.zeros(0)
+        drift = fallback.feature_drift(self.runtime.current_window(service_id))
         diagnosis = diagnose(self._evidence[service_id], drift,
                              fallback.threshold,
                              self.config.diagnosis)
@@ -418,8 +414,7 @@ class RemediationController:
             self._verification_failed(incident, tick,
                                       "service re-quarantined during dwell")
             return
-        if (outcome.ready and not outcome.used_fallback
-                and np.isfinite(outcome.score)):
+        if not outcome.used_fallback and np.isfinite(outcome.score):
             incident.dwell_scores.append(float(outcome.score))
         if health.state is HealthState.HEALTHY:
             incident.healthy_dwell += 1

@@ -36,7 +36,7 @@ import numpy as np
 __all__ = ["AlertClass", "DiagnosisConfig", "EvidenceWindow", "Diagnosis",
            "attribute_drift", "diagnose"]
 
-# Fraction of recent ready ticks that were alerts before clean-input,
+# Fraction of recent ticks that were alerts before clean-input,
 # undrifted trouble reads as an anomaly storm.
 _STORM_ALERT_FRACTION = 0.3
 
@@ -84,16 +84,15 @@ class EvidenceWindow:
             raise ValueError("window must be >= 4")
         self.window = window
         self._repaired: deque = deque(maxlen=window)   # bool per tick
-        self._alerts: deque = deque(maxlen=window)     # bool per ready tick
+        self._alerts: deque = deque(maxlen=window)     # bool per tick
         self._scores: deque = deque(maxlen=window)     # model-path scores
 
     def record(self, outcome) -> None:
         """Fold one :class:`~repro.core.streaming.StreamUpdate` in."""
         self._repaired.append(bool(outcome.sanitized))
-        if outcome.ready:
-            self._alerts.append(bool(outcome.is_alert))
-            if not outcome.used_fallback and np.isfinite(outcome.score):
-                self._scores.append(float(outcome.score))
+        self._alerts.append(bool(outcome.is_alert))
+        if not outcome.used_fallback and np.isfinite(outcome.score):
+            self._scores.append(float(outcome.score))
 
     @property
     def ticks(self) -> int:

@@ -7,71 +7,44 @@ agent drops samples, and transient 1000σ glitches from unit bugs.  A
 ``StreamingDetector.observe`` and repairs each observation *before* it can
 poison the next ``window`` scoring windows:
 
-* **non-finite / missing values** are imputed — last good value by default,
-  or the per-feature median of the calibration history;
-* **gross outliers** (beyond ``clip_sigmas`` robust standard deviations of
-  the calibration history) are clipped to the boundary, preserving the
-  direction of the excursion without letting one glitch saturate the
-  dualistic amplifier;
+* **non-finite / missing values** are imputed from the last clean row;
+* **gross outliers** (beyond :data:`CLIP_SIGMAS` robust standard
+  deviations of the calibration history) are clipped to the boundary,
+  preserving the direction of the excursion without letting one glitch
+  saturate the dualistic amplifier;
+* after :data:`MAX_CONSECUTIVE_IMPUTED` fully imputed rows in a row the
+  stream is reported as gapped — the imputed data is pure fiction by then
+  and the serving layer degrades the service rather than keep alerting on
+  it;
 * every repair is reported in a :class:`SanitizationReport` so the serving
   layer can surface degraded inputs instead of hiding them.
 
-Clipping is deliberately loose (default 12σ): genuine anomalies the
-detector must see are a few σ, while transport glitches are orders of
-magnitude out.  Set ``clip_sigmas=None`` to disable clipping entirely.
+Clipping is deliberately loose: genuine anomalies the detector must see
+are a few σ, while transport glitches are orders of magnitude out.  The
+output of :meth:`Sanitizer.sanitize` is therefore always finite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-__all__ = ["SanitizerConfig", "SanitizationReport", "Sanitizer"]
+__all__ = ["CLIP_SIGMAS", "MAX_CONSECUTIVE_IMPUTED", "SanitizationReport",
+           "Sanitizer"]
 
-_IMPUTE_MODES = ("last", "median")
-
-
-@dataclass(frozen=True)
-class SanitizerConfig:
-    """Sanitization policy for one service's stream.
-
-    Parameters
-    ----------
-    impute:
-        ``"last"`` repeats the previous clean value per feature (best for
-        slowly varying gauges); ``"median"`` substitutes the calibration
-        median (best for noisy counters where repeating the last value
-        fabricates a trend).
-    clip_sigmas:
-        Clip each feature to ``median ± clip_sigmas * robust_std`` of the
-        calibration history; ``None`` disables clipping.
-    max_consecutive_imputed:
-        After this many fully-imputed rows in a row the stream is reported
-        as gapped (``SanitizationReport.gap_exceeded``) — the imputed data
-        is pure fiction by then and the serving layer should degrade the
-        service rather than keep alerting on it.
-    """
-
-    impute: str = "last"
-    clip_sigmas: Optional[float] = 12.0
-    max_consecutive_imputed: int = 10
-
-    def __post_init__(self):
-        if self.impute not in _IMPUTE_MODES:
-            raise ValueError(f"impute must be one of {_IMPUTE_MODES}")
-        if self.clip_sigmas is not None and self.clip_sigmas <= 0:
-            raise ValueError("clip_sigmas must be positive (or None)")
-        if self.max_consecutive_imputed < 1:
-            raise ValueError("max_consecutive_imputed must be >= 1")
+# Each feature is clipped to median ± CLIP_SIGMAS * robust_std of the
+# calibration history.
+CLIP_SIGMAS = 12.0
+# Fully imputed rows in a row before SanitizationReport.gap_exceeded.
+MAX_CONSECUTIVE_IMPUTED = 10
 
 
 @dataclass(frozen=True)
 class SanitizationReport:
     """What the sanitizer did to one observation."""
 
-    imputed_features: tuple = ()   # indices repaired from last/median
+    imputed_features: tuple = ()   # indices repaired from the last row
     clipped_features: tuple = ()   # indices clipped into the sane range
     missing_row: bool = False      # the whole observation was absent
     gap_exceeded: bool = False     # too many consecutive fabricated rows
@@ -91,8 +64,7 @@ class Sanitizer:
     last-value imputation works across consecutive bad samples.
     """
 
-    def __init__(self, config: SanitizerConfig | None = None):
-        self.config = config or SanitizerConfig()
+    def __init__(self):
         self._median: np.ndarray | None = None
         self._lo: np.ndarray | None = None
         self._hi: np.ndarray | None = None
@@ -123,9 +95,8 @@ class Sanitizer:
         mad = np.nanmedian(np.abs(masked - self._median), axis=0)
         spread = np.nanstd(masked, axis=0)
         robust_std = np.maximum(1.4826 * mad, np.maximum(spread, 1e-9))
-        if self.config.clip_sigmas is not None:
-            self._lo = self._median - self.config.clip_sigmas * robust_std
-            self._hi = self._median + self.config.clip_sigmas * robust_std
+        self._lo = self._median - CLIP_SIGMAS * robust_std
+        self._hi = self._median + CLIP_SIGMAS * robust_std
         last = masked[-1].copy()
         fallback = np.isnan(last)
         last[fallback] = self._median[fallback]
@@ -155,26 +126,20 @@ class Sanitizer:
         finite = np.isfinite(observation)
         clean = observation.copy()
         if not finite.all():
-            source = (self._last if self.config.impute == "last"
-                      else self._median)
-            clean[~finite] = source[~finite]
+            clean[~finite] = self._last[~finite]
         imputed = tuple(np.flatnonzero(~finite).tolist())
 
         clipped: tuple = ()
-        if self._lo is not None:
-            below = clean < self._lo
-            above = clean > self._hi
-            out = below | above
-            if out.any():
-                clean = np.clip(clean, self._lo, self._hi)
-                clipped = tuple(np.flatnonzero(out).tolist())
+        out = (clean < self._lo) | (clean > self._hi)
+        if out.any():
+            clean = np.clip(clean, self._lo, self._hi)
+            clipped = tuple(np.flatnonzero(out).tolist())
 
         if finite.all() and not missing_row:
             self._consecutive_imputed = 0
         elif not finite.any() or missing_row:
             self._consecutive_imputed += 1
-        gap_exceeded = (self._consecutive_imputed
-                        >= self.config.max_consecutive_imputed)
+        gap_exceeded = self._consecutive_imputed >= MAX_CONSECUTIVE_IMPUTED
         self._last = clean.copy()
         return clean, SanitizationReport(
             imputed_features=imputed,
@@ -188,21 +153,19 @@ class Sanitizer:
         (last clean row, consecutive-imputation count)."""
         return {
             "median": self._median.tolist(),
-            "lo": None if self._lo is None else self._lo.tolist(),
-            "hi": None if self._hi is None else self._hi.tolist(),
+            "lo": self._lo.tolist(),
+            "hi": self._hi.tolist(),
             "last": self._last.tolist(),
             "consecutive_imputed": self._consecutive_imputed,
         }
 
     @classmethod
-    def from_state(cls, state: dict,
-                   config: SanitizerConfig | None = None) -> "Sanitizer":
+    def from_state(cls, state: dict) -> "Sanitizer":
         """Rebuild a :class:`Sanitizer` from :meth:`state_dict` output."""
-        sanitizer = cls(config)
+        sanitizer = cls()
         sanitizer._median = np.asarray(state["median"], dtype=float)
-        if state["lo"] is not None:
-            sanitizer._lo = np.asarray(state["lo"], dtype=float)
-            sanitizer._hi = np.asarray(state["hi"], dtype=float)
+        sanitizer._lo = np.asarray(state["lo"], dtype=float)
+        sanitizer._hi = np.asarray(state["hi"], dtype=float)
         sanitizer._last = np.asarray(state["last"], dtype=float)
         sanitizer._consecutive_imputed = int(state["consecutive_imputed"])
         return sanitizer

@@ -34,12 +34,13 @@ from repro.obs.events import emit
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.tracing import span
 from repro.runtime.health import BreakerConfig, HealthState, ServiceHealth
-from repro.runtime.sanitize import Sanitizer, SanitizerConfig
+from repro.runtime.sanitize import Sanitizer
 
 __all__ = ["SpectralFallbackScorer", "ServingRuntime"]
 
 _STATE_FORMAT = "repro.serving-state.v2"
-_STATE_FORMAT_V1 = "repro.serving-state.v1"
+# Calibration-distance quantile the fallback scorer alerts above.
+_FALLBACK_ALERT_QUANTILE = 0.995
 
 
 class SpectralFallbackScorer:
@@ -54,11 +55,8 @@ class SpectralFallbackScorer:
     the path of last resort.
     """
 
-    def __init__(self, window: int, alert_quantile: float = 0.995):
-        if not 0.5 < alert_quantile < 1.0:
-            raise ValueError("alert_quantile must be in (0.5, 1)")
+    def __init__(self, window: int):
         self.window = window
-        self.alert_quantile = alert_quantile
         self._reference: np.ndarray | None = None   # (features, bins)
         self.threshold: float = float("inf")
 
@@ -81,7 +79,8 @@ class SpectralFallbackScorer:
         ])                                         # (W, features, bins)
         self._reference = spectra.mean(axis=0)
         calibration = np.array([self._distance(s) for s in spectra])
-        self.threshold = float(np.quantile(calibration, self.alert_quantile))
+        self.threshold = float(np.quantile(calibration,
+                                           _FALLBACK_ALERT_QUANTILE))
         return self
 
     def score(self, window_values: np.ndarray) -> float:
@@ -118,10 +117,9 @@ class SpectralFallbackScorer:
                 "threshold": self.threshold}
 
     @classmethod
-    def from_state(cls, state: dict, window: int,
-                   alert_quantile: float = 0.995) -> "SpectralFallbackScorer":
+    def from_state(cls, state: dict, window: int) -> "SpectralFallbackScorer":
         """Rebuild a fitted scorer from :meth:`state_dict` output."""
-        scorer = cls(window, alert_quantile=alert_quantile)
+        scorer = cls(window)
         scorer._reference = np.asarray(state["reference"], dtype=float)
         scorer.threshold = float(state["threshold"])
         return scorer
@@ -143,7 +141,8 @@ class ServingRuntime:
     """Never-raises serving loop over a fleet of streamed services.
 
     Parameters mirror :class:`~repro.core.streaming.StreamingDetector`,
-    plus the sanitization and breaker policies.  Typical use::
+    plus the breaker policy and the metrics registry the latency
+    histograms and transition counters land in.  Typical use::
 
         runtime = ServingRuntime(detector, window=40, q=1e-3)
         runtime.start_service("svc-1", recent_history)
@@ -153,19 +152,12 @@ class ServingRuntime:
     """
 
     def __init__(self, detector: AnomalyDetector, window: int = 40,
-                 q: float = 1e-3, calibration_level: float = 0.98,
-                 sanitizer_config: SanitizerConfig | None = None,
+                 q: float = 1e-3,
                  breaker_config: BreakerConfig | None = None,
-                 fallback_quantile: float = 0.995,
                  registry: MetricsRegistry | None = None):
-        self.streaming = StreamingDetector(
-            detector, window=window, q=q,
-            calibration_level=calibration_level, on_invalid="impute",
-        )
+        self.streaming = StreamingDetector(detector, window=window, q=q)
         self.window = window
-        self.sanitizer_config = sanitizer_config or SanitizerConfig()
         self.breaker_config = breaker_config or BreakerConfig()
-        self.fallback_quantile = fallback_quantile
         self.registry = registry if registry is not None else get_registry()
         self._sanitizers: Dict[str, Sanitizer] = {}
         self._health: Dict[str, ServiceHealth] = {}
@@ -187,12 +179,10 @@ class ServingRuntime:
         repaired (per-feature median) before calibration.
         """
         history = np.atleast_2d(np.asarray(recent_history, dtype=float))
-        sanitizer = Sanitizer(self.sanitizer_config).fit(history)
+        sanitizer = Sanitizer().fit(history)
         clean = self._clean_history(history)
         self.streaming.start_service(service_id, clean)
-        fallback = SpectralFallbackScorer(
-            self.window, alert_quantile=self.fallback_quantile,
-        ).fit(clean)
+        fallback = SpectralFallbackScorer(self.window).fit(clean)
         self._install(service_id, sanitizer,
                       ServiceHealth(self.breaker_config), fallback)
         self._applied_sequence[service_id] = 0
@@ -342,10 +332,8 @@ class ServingRuntime:
     def _duplicate_outcome(self, service_id: str) -> StreamUpdate:
         """Answer a re-delivered sequence without touching any state."""
         health = self._health[service_id]
-        stream = self.streaming._streams[service_id]
         return StreamUpdate(
             score=0.0, is_alert=False,
-            ready=stream.filled >= self.window,
             threshold=self.streaming.threshold(service_id),
             health=health.state.value,
             duplicate=True,
@@ -378,18 +366,13 @@ class ServingRuntime:
     def load_state_dict(self, state: dict) -> None:
         """Restore :meth:`state_dict` output.
 
-        A v2 snapshot builds every service it holds outright, with no
+        The snapshot builds every service it holds outright, with no
         :meth:`start_service` call, and replaces whatever services the
         runtime had; transitions already in a restored breaker are not
-        reported again.  A v1 snapshot (streaming state and sequence marks
-        only) overlays services that :meth:`start_service` already
-        calibrated.  Either way a snapshot that fails validation leaves
-        the runtime untouched.
+        reported again.  A snapshot that fails validation leaves the
+        runtime untouched.
         """
         fmt = state.get("format")
-        if fmt == _STATE_FORMAT_V1:
-            self._load_v1(state)
-            return
         if fmt != _STATE_FORMAT:
             raise ValueError(f"unrecognised serving state format: {fmt!r}")
         services = state["services"]
@@ -402,13 +385,11 @@ class ServingRuntime:
             )
         restored = {
             service_id: (
-                Sanitizer.from_state(entry["sanitizer"],
-                                     self.sanitizer_config),
+                Sanitizer.from_state(entry["sanitizer"]),
                 ServiceHealth.from_state(entry["health"],
                                          self.breaker_config),
-                SpectralFallbackScorer.from_state(
-                    entry["fallback"], self.window,
-                    alert_quantile=self.fallback_quantile),
+                SpectralFallbackScorer.from_state(entry["fallback"],
+                                                  self.window),
             )
             for service_id, entry in services.items()
         }
@@ -419,19 +400,6 @@ class ServingRuntime:
                                   for service_id in services}
         for service_id, parts in restored.items():
             self._install(service_id, *parts)
-
-    def _load_v1(self, state: dict) -> None:
-        """Overlay a v1 snapshot onto already-calibrated services."""
-        for service_id in state["streaming"]["services"]:
-            if service_id not in self._health:
-                raise ValueError(
-                    f"snapshot holds service {service_id!r} which was never "
-                    "started on this runtime; call start_service() first"
-                )
-        self.streaming.load_state_dict(state["streaming"])
-        marks = state.get("applied_sequence", {})
-        for service_id, mark in marks.items():
-            self._applied_sequence[service_id] = int(mark)
 
     def _report_transitions(self, service_id: str) -> None:
         """Turn newly recorded state transitions into metrics + events."""
@@ -464,19 +432,15 @@ class ServingRuntime:
     def _update(self, service_id: str,
                 observation: Optional[np.ndarray],
                 force_fallback: bool = False) -> StreamUpdate:
-        sanitizer = self._sanitizers[service_id]
+        # Sanitize before the tick: a rejected (wrong-width) observation
+        # must leave the breaker exactly as it found it.
+        clean, report = self._sanitizers[service_id].sanitize(observation)
         health = self._health[service_id]
         health.tick()
-
-        clean, report = sanitizer.sanitize(observation)
         if report.gap_exceeded:
             health.note_degraded_input()
 
         window = self.streaming.observe(service_id, clean)
-        if window is None:
-            return self._outcome(service_id, health, report,
-                                 score=0.0, is_alert=False, ready=False,
-                                 used_fallback=False)
 
         score: Optional[float] = None
         if not force_fallback and health.allow_model():
@@ -484,7 +448,7 @@ class ServingRuntime:
         if score is not None:
             is_alert = self.streaming.step_threshold(service_id, score)
             return self._outcome(service_id, health, report,
-                                 score=score, is_alert=is_alert, ready=True,
+                                 score=score, is_alert=is_alert,
                                  used_fallback=False)
 
         fallback = self._fallbacks[service_id]
@@ -492,7 +456,7 @@ class ServingRuntime:
         return self._outcome(service_id, health, report,
                              score=fallback_score,
                              is_alert=fallback_score > fallback.threshold,
-                             ready=True, used_fallback=True)
+                             used_fallback=True)
 
     def _try_model(self, service_id: str,
                    health: ServiceHealth) -> Optional[float]:
@@ -509,14 +473,13 @@ class ServingRuntime:
         return score
 
     def _outcome(self, service_id: str, health: ServiceHealth,
-                 report, *, score: float, is_alert: bool, ready: bool,
+                 report, *, score: float, is_alert: bool,
                  used_fallback: bool) -> StreamUpdate:
         threshold = (self._fallbacks[service_id].threshold if used_fallback
                      else self.streaming.threshold(service_id))
         return StreamUpdate(
             score=score,
             is_alert=is_alert,
-            ready=ready,
             threshold=threshold,
             health=health.state.value,
             used_fallback=used_fallback,
@@ -530,15 +493,13 @@ class ServingRuntime:
     # is idempotent: re-running with the same inputs reaches the same
     # state, so a timed-out action can be retried safely.
     # ------------------------------------------------------------------
-    def current_window(self, service_id: str) -> Optional[np.ndarray]:
-        """The service's buffered ``(window, features)`` view, if full."""
+    def current_window(self, service_id: str) -> np.ndarray:
+        """A copy of the service's buffered ``(window, features)`` view."""
         stream = self.streaming._streams.get(service_id)
         if stream is None:
             raise KeyError(
                 f"service {service_id!r} not started; call start_service()"
             )
-        if stream.filled < self.window:
-            return None
         return stream.buffer.copy()
 
     def recalibrate_sanitizer(self, service_id: str,
@@ -548,9 +509,8 @@ class ServingRuntime:
         Returns the *previous* sanitizer so the caller can roll back.
         """
         previous = self._sanitizers[service_id]
-        self._sanitizers[service_id] = Sanitizer(
-            self.sanitizer_config).fit(self._clean_history(
-                np.atleast_2d(np.asarray(history, dtype=float))))
+        self._sanitizers[service_id] = Sanitizer().fit(self._clean_history(
+            np.atleast_2d(np.asarray(history, dtype=float))))
         return previous
 
     def swap_sanitizer(self, service_id: str,
@@ -583,8 +543,7 @@ class ServingRuntime:
         self.streaming.detector.prepare_service(service_id, clean)
         if clean.shape[0] >= 2 * self.window:
             self._fallbacks[service_id] = SpectralFallbackScorer(
-                self.window, alert_quantile=self.fallback_quantile,
-            ).fit(clean)
+                self.window).fit(clean)
 
     def quarantine(self, service_id: str) -> None:
         """Force the service onto the fallback path (terminal escalation)."""

@@ -152,7 +152,6 @@ class TestStreaming:
         stream.start_service(service.service_id, service.train)
         outcomes = [stream.update(service.service_id, row)
                     for row in service.test[:100]]
-        assert all(o.ready for o in outcomes)  # buffer pre-filled by history
         scores = np.array([o.score for o in outcomes])
         assert np.isfinite(scores).all() and np.all(scores >= 0)
 
@@ -207,8 +206,8 @@ class TestNonFiniteObservations:
                                test_length=64, seed=5)
         return _fitted_detector(dataset), dataset
 
-    def _started(self, detector, dataset, **kwargs):
-        stream = StreamingDetector(detector, window=40, q=1e-2, **kwargs)
+    def _started(self, detector, dataset):
+        stream = StreamingDetector(detector, window=40, q=1e-2)
         service = dataset[0]
         stream.start_service(service.service_id, service.train)
         return stream, service
@@ -237,21 +236,6 @@ class TestNonFiniteObservations:
         np.testing.assert_array_equal(
             stream._streams[service.service_id].buffer, before
         )
-
-    def test_impute_mode_repairs_and_scores(self, detector):
-        stream, service = self._started(*detector, on_invalid="impute")
-        observation = service.test[0].copy()
-        observation[1] = np.nan
-        outcome = stream.update(service.service_id, observation)
-        assert outcome.ready
-        assert np.isfinite(outcome.score)
-        buffer = stream._streams[service.service_id].buffer
-        assert np.isfinite(buffer).all()
-
-    def test_invalid_mode_rejected(self, detector):
-        fitted, _ = detector
-        with pytest.raises(ValueError):
-            StreamingDetector(fitted, on_invalid="drop")
 
     def test_dirty_calibration_history_rejected(self, detector):
         fitted, dataset = detector

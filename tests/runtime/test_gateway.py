@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.runtime import (
+    CheckpointError,
     ConsistentHashRing,
     GatewayConfig,
     ServingGateway,
@@ -140,8 +141,17 @@ class TestWriteAheadLog:
     def test_torn_header_discarded(self, tmp_path):
         self._fill(tmp_path / "wal")
         last = sorted((tmp_path / "wal").glob("wal-*.seg"))[-1]
-        last.write_bytes(last.read_bytes() + b"RW\x10")  # 3 of 10 bytes
+        intact = last.read_bytes()
+        last.write_bytes(intact + b"RW\x10")  # 3 of 10 bytes
         assert len(read_wal(tmp_path / "wal")) == 40
+        with WriteAheadLog(tmp_path / "wal") as wal:
+            assert last.read_bytes() == intact   # tail physically dropped
+            lsn = wal.append({"service": "svc-0", "sequence": 41,
+                              "observation": [0.0]})
+            wal.commit()
+            assert lsn == 40
+        assert [r.lsn for r in read_wal(tmp_path / "wal")] == \
+            list(range(41))
 
     def test_crc_corruption_raises_typed_error(self, tmp_path):
         self._fill(tmp_path / "wal")
@@ -339,7 +349,9 @@ class TestServingStateSnapshot:
         assert json.dumps(restored.state_dict(), sort_keys=True) == \
             json.dumps(runtime.state_dict(), sort_keys=True)
 
-    def test_serving_snapshot_loads_into_bare_streaming_detector(self,
+    # Each target loads exactly its own format; anything else is refused
+    # and leaves the target untouched.
+    def test_serving_snapshot_refused_by_bare_streaming_detector(self,
                                                                  tmp_path):
         runtime, streams = _tiny_runtime()
         runtime.update("svc-0", streams["svc-0"][0], sequence=1)
@@ -347,21 +359,38 @@ class TestServingStateSnapshot:
         save_streaming_state(runtime, path)
 
         bare, _ = _tiny_runtime()
-        load_streaming_state(bare.streaming, path)   # marks discarded
-        assert bare.streaming.state_dict() == \
-            runtime.streaming.state_dict()
+        before = bare.streaming.state_dict()
+        with pytest.raises(CheckpointError, match="streaming-state.v1"):
+            load_streaming_state(bare.streaming, path)
+        assert bare.streaming.state_dict() == before
 
-    def test_streaming_snapshot_loads_into_serving_runtime(self, tmp_path):
+    def test_streaming_snapshot_refused_by_serving_runtime(self, tmp_path):
         runtime, streams = _tiny_runtime()
         runtime.update("svc-0", streams["svc-0"][0], sequence=1)
         path = tmp_path / "streaming.json"
         save_streaming_state(runtime.streaming, path)
 
         restored, _ = _tiny_runtime()
-        load_streaming_state(restored, path)
-        assert restored.streaming.state_dict() == \
-            runtime.streaming.state_dict()
-        assert restored.applied_sequence("svc-0") == 0  # marks not in file
+        before = restored.state_dict()
+        with pytest.raises(CheckpointError, match="serving-state.v2"):
+            load_streaming_state(restored, path)
+        assert restored.state_dict() == before
+
+    def test_v1_serving_snapshot_refused(self, tmp_path):
+        runtime, streams = _tiny_runtime()
+        runtime.update("svc-0", streams["svc-0"][0], sequence=1)
+        # The pre-v2 layout: streaming state and sequence marks only.
+        state = runtime.state_dict()
+        del state["services"]
+        state["format"] = "repro.serving-state.v1"
+        path = tmp_path / "serving-v1.json"
+        path.write_text(json.dumps(state))
+
+        restored, _ = _tiny_runtime()
+        before = restored.state_dict()
+        with pytest.raises(CheckpointError, match="serving-state.v1"):
+            load_streaming_state(restored, path)
+        assert restored.state_dict() == before
 
 
 class TestKillThenCollect:

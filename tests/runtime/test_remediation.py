@@ -50,10 +50,9 @@ def _history(seed=0, length=200, features=2):
 class _Update:
     """Minimal StreamUpdate stand-in for EvidenceWindow tests."""
 
-    def __init__(self, sanitized=False, ready=True, is_alert=False,
+    def __init__(self, sanitized=False, is_alert=False,
                  used_fallback=False, score=1.0):
         self.sanitized = sanitized
-        self.ready = ready
         self.is_alert = is_alert
         self.used_fallback = used_fallback
         self.score = score

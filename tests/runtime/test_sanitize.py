@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.runtime import SanitizationReport, Sanitizer, SanitizerConfig
+from repro.runtime import SanitizationReport, Sanitizer
+from repro.runtime.sanitize import MAX_CONSECUTIVE_IMPUTED
 
 
 @pytest.fixture
@@ -16,16 +17,6 @@ def history(rng):
 @pytest.fixture
 def fitted(history):
     return Sanitizer().fit(history)
-
-
-class TestConfig:
-    def test_rejects_unknown_impute_mode(self):
-        with pytest.raises(ValueError):
-            SanitizerConfig(impute="zero")
-
-    def test_rejects_non_positive_clip(self):
-        with pytest.raises(ValueError):
-            SanitizerConfig(clip_sigmas=0.0)
 
 
 class TestImputation:
@@ -46,11 +37,6 @@ class TestImputation:
         clean, report = fitted.sanitize(np.array([np.inf, -0.2]))
         assert np.isfinite(clean).all()
         assert report.imputed_features == (0,)
-
-    def test_median_mode_uses_calibration_median(self, history):
-        sanitizer = Sanitizer(SanitizerConfig(impute="median")).fit(history)
-        clean, _ = sanitizer.sanitize(np.array([np.nan, 0.0]))
-        assert clean[0] == pytest.approx(np.median(history[:, 0]), abs=1e-9)
 
     def test_missing_row_fully_imputed(self, fitted):
         clean, report = fitted.sanitize(None)
@@ -76,12 +62,6 @@ class TestClipping:
         assert report.clipped_features == ()
         assert clean[1] == pytest.approx(3.0 + 5 * 0.05)
 
-    def test_clipping_disabled(self, history):
-        sanitizer = Sanitizer(SanitizerConfig(clip_sigmas=None)).fit(history)
-        clean, report = sanitizer.sanitize(np.array([1e9, 0.0]))
-        assert clean[0] == 1e9
-        assert not report.clipped_features
-
     def test_clip_preserves_direction(self, fitted):
         low, _ = fitted.sanitize(np.array([-1e9, 0.0]))
         high, _ = fitted.sanitize(np.array([1e9, 0.0]))
@@ -89,22 +69,19 @@ class TestClipping:
 
 
 class TestGapTracking:
-    def test_gap_reported_after_consecutive_imputed_rows(self, history):
-        config = SanitizerConfig(max_consecutive_imputed=3)
-        sanitizer = Sanitizer(config).fit(history)
-        reports = [sanitizer.sanitize(None)[1] for _ in range(4)]
-        assert not reports[0].gap_exceeded
-        assert not reports[1].gap_exceeded
-        assert reports[2].gap_exceeded
-        assert reports[3].gap_exceeded
+    def test_gap_reported_after_consecutive_imputed_rows(self, fitted):
+        reports = [fitted.sanitize(None)[1]
+                   for _ in range(MAX_CONSECUTIVE_IMPUTED + 1)]
+        assert not any(r.gap_exceeded
+                       for r in reports[:MAX_CONSECUTIVE_IMPUTED - 1])
+        assert reports[MAX_CONSECUTIVE_IMPUTED - 1].gap_exceeded
+        assert reports[MAX_CONSECUTIVE_IMPUTED].gap_exceeded
 
-    def test_clean_row_resets_gap(self, history):
-        config = SanitizerConfig(max_consecutive_imputed=3)
-        sanitizer = Sanitizer(config).fit(history)
-        sanitizer.sanitize(None)
-        sanitizer.sanitize(None)
-        sanitizer.sanitize(np.array([0.0, 3.0]))
-        _, report = sanitizer.sanitize(None)
+    def test_clean_row_resets_gap(self, fitted):
+        for _ in range(MAX_CONSECUTIVE_IMPUTED - 1):
+            fitted.sanitize(None)
+        fitted.sanitize(np.array([0.0, 3.0]))
+        _, report = fitted.sanitize(None)
         assert not report.gap_exceeded
 
 

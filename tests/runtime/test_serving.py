@@ -10,13 +10,13 @@ from repro.core.detector import AnomalyDetector
 from repro.runtime import (
     BreakerConfig,
     CheckpointError,
-    SanitizerConfig,
     ServingRuntime,
     SpectralFallbackScorer,
     load_streaming_state,
     save_streaming_state,
 )
 from repro.runtime.health import HealthState
+from repro.runtime.sanitize import MAX_CONSECUTIVE_IMPUTED
 
 
 class ScriptedDetector(AnomalyDetector):
@@ -79,7 +79,6 @@ class TestHappyPath:
     def test_clean_updates_stay_healthy(self, runtime):
         for row in _history(seed=1)[:50]:
             outcome = runtime.update("svc", row)
-            assert outcome.ready
             assert outcome.health == "healthy"
             assert not outcome.used_fallback
         assert runtime.health("svc").state is HealthState.HEALTHY
@@ -91,6 +90,13 @@ class TestHappyPath:
     def test_feature_mismatch_still_raises(self, runtime):
         with pytest.raises(ValueError):
             runtime.update("svc", np.zeros(7))
+
+    def test_rejected_update_leaves_state_unchanged(self, runtime):
+        runtime.update("svc", _history(seed=1)[0], sequence=1)
+        before = _canonical(runtime)
+        with pytest.raises(ValueError):
+            runtime.update("svc", np.zeros(7), sequence=2)
+        assert _canonical(runtime) == before   # breaker tick included
 
 
 class TestSanitizedInputs:
@@ -109,15 +115,11 @@ class TestSanitizedInputs:
         outcome = runtime.update("svc", np.array([1e9, 0.0]))
         assert outcome.clipped_features == (0,)
 
-    def test_long_gap_degrades(self):
-        history = _history()
-        detector = ScriptedDetector().fit(["svc"], [history])
-        runtime = ServingRuntime(
-            detector, window=40, q=1e-2,
-            sanitizer_config=SanitizerConfig(max_consecutive_imputed=3),
-        )
-        runtime.start_service("svc", history)
-        for _ in range(5):
+    def test_long_gap_degrades(self, runtime):
+        for _ in range(MAX_CONSECUTIVE_IMPUTED - 1):
+            outcome = runtime.update("svc", None)
+        assert outcome.health == "healthy"
+        for _ in range(2):
             outcome = runtime.update("svc", None)
         assert outcome.health == "degraded"
 
@@ -130,7 +132,7 @@ class TestSanitizedInputs:
         )
         runtime = ServingRuntime(detector, window=40, q=1e-2)
         runtime.start_service("svc", history)
-        assert runtime.update("svc", np.zeros(2)).ready
+        assert np.isfinite(runtime.update("svc", np.zeros(2)).score)
 
 
 class TestDegradedMode:
@@ -138,7 +140,6 @@ class TestDegradedMode:
         _detector(runtime).fail = True
         for row in _history(seed=2)[:20]:
             outcome = runtime.update("svc", row)   # must not raise
-            assert outcome.ready
             assert np.isfinite(outcome.score)
 
     def test_breaker_trips_to_quarantine(self, runtime):
@@ -422,58 +423,100 @@ class TestServingStateRestore:
         assert sum(counter.value for counter in registry.collect(
             "serving.health_transitions")) == 1
 
-    def test_v1_snapshot_still_loads_onto_calibrated_services(self,
-                                                              tmp_path):
-        history = _history()
+    def test_v2_snapshot_with_retired_fields_loads_and_continues(
+            self, tmp_path):
+        history = _history(length=24)
         detector = ScriptedDetector().fit(["svc"], [history])
-        runtime = ServingRuntime(detector, window=4, q=1e-2)
-        runtime.start_service("svc", history)
-        calibrated = runtime.state_dict()["services"]["svc"]
-        path = tmp_path / "serving-v1.json"
-        path.write_text(V1_SNAPSHOT)
-        load_streaming_state(runtime, path)
+        uninterrupted = ServingRuntime(detector, window=4, q=1e-2)
+        uninterrupted.start_service("svc", history)
+        rows = [np.array([0.5, -0.25]), None, np.array([np.nan, 1.5]),
+                None, np.array([9.0, 0.25]), np.array([0.1, np.inf])]
+        for sequence, row in enumerate(rows[:3], start=1):
+            uninterrupted.update("svc", row, sequence=sequence)
 
-        state = runtime.state_dict()
-        assert state["format"] == "repro.serving-state.v2"
-        assert state["applied_sequence"] == {"svc": 7}
-        stream = state["streaming"]["services"]["svc"]
-        assert stream["buffer"] == [[0.5, -0.25], [1.0, 0.0],
-                                    [0.75, 0.5], [-0.5, 1.25]]
-        assert stream["spot"]["threshold"] == 5.0
-        # v1 holds no sanitizer, breaker or fallback: they stay calibrated.
-        assert state["services"]["svc"] == calibrated
-        outcome = runtime.update("svc", None, sequence=8)
-        assert outcome.ready and outcome.imputed_features == (0, 1)
-
-        # v1 can only overlay: it cannot build services by itself.
-        bare = ServingRuntime(detector, window=4, q=1e-2)
-        with pytest.raises(CheckpointError):
-            load_streaming_state(bare, path)
-        assert bare.services() == ()
+        path = tmp_path / "serving-v2.json"
+        path.write_text(V2_SNAPSHOT)
+        restored = ServingRuntime(detector, window=4, q=1e-2)
+        load_streaming_state(restored, path)
+        assert _canonical(restored) == _canonical(uninterrupted)
+        for sequence, row in enumerate(rows[3:], start=4):
+            expected = uninterrupted.update("svc", row, sequence=sequence)
+            actual = restored.update("svc", row, sequence=sequence)
+            assert actual == expected
+        assert _canonical(restored) == _canonical(uninterrupted)
 
 
-# A serving-state snapshot as ServingRuntime wrote it before the v2
-# format: streaming state and sequence marks only.
-V1_SNAPSHOT = """{
-  "format": "repro.serving-state.v1",
+# What ``uninterrupted`` above holds after its first three updates, as
+# the v2 writer emitted it while the streaming section still carried the
+# retired "filled", "on_invalid" and "calibration_level" fields (the
+# loader ignores them).
+V2_SNAPSHOT = """{
+  "format": "repro.serving-state.v2",
   "streaming": {
     "format": "repro.streaming-state.v1",
-    "window": 4, "q": 0.01, "calibration_level": 0.98,
+    "window": 4,
+    "q": 0.01,
+    "calibration_level": 0.98,
     "on_invalid": "impute",
     "services": {
       "svc": {
-        "buffer": [[0.5, -0.25], [1.0, 0.0], [0.75, 0.5], [-0.5, 1.25]],
+        "buffer": [
+          [0.8441680013842492, 1.0050428260199438],
+          [0.5, -0.25],
+          [0.5, -0.25],
+          [0.5, 1.5]
+        ],
         "filled": 4,
         "spot": {
-          "q": 0.01, "level": 0.98, "refit_every": 16,
-          "fit": {"initial_threshold": 2.0, "shape": 0.0, "scale": 1.0,
-                  "num_excesses": 3, "num_samples": 100},
-          "excesses": [0.5, 0.25, 1.0],
-          "num_samples": 107, "pending": 1, "threshold": 5.0
+          "q": 0.01,
+          "level": 0.98,
+          "refit_every": 16,
+          "fit": {
+            "initial_threshold": 1.6894918333641782,
+            "shape": 0.0,
+            "scale": 0.49975666545354264,
+            "num_excesses": 1,
+            "num_samples": 24
+          },
+          "excesses": [0.08692667576620972, 0.4355697747753766],
+          "num_samples": 27,
+          "pending": 1,
+          "threshold": 2.4027027444731095
         }
       }
     }
   },
-  "applied_sequence": {"svc": 7}
+  "applied_sequence": {
+    "svc": 3
+  },
+  "services": {
+    "svc": {
+      "sanitizer": {
+        "median": [0.09752393468984079, 0.18398586554324264],
+        "lo": [-12.055015019042552, -10.079001523722773],
+        "hi": [12.250062888422233, 10.446973254809258],
+        "last": [0.5, 1.5],
+        "consecutive_imputed": 1
+      },
+      "health": {
+        "state": "healthy",
+        "tick": 3,
+        "consecutive_failures": 0,
+        "consecutive_successes": 3,
+        "total_failures": 0,
+        "backoff": 8,
+        "next_probe_tick": null,
+        "probing": false,
+        "transitions": []
+      },
+      "fallback": {
+        "reference": [
+          [0.6520788870117357, 0.20878035591758032, 0.13914075707068405],
+          [0.6551022076712069, 0.20610385583024904, 0.13879393649854413]
+        ],
+        "threshold": 0.42545485089549434
+      }
+    }
+  }
 }
 """
