@@ -84,7 +84,7 @@ def main() -> None:
                           incarnation=0, replay=False, duplicate=False)
             engine.step(tick)
 
-        registry.counter("gateway.accepted", tenant="default").inc(TICKS)
+        registry.counter("gateway.accepted").inc(TICKS)
         registry.gauge("gateway.queue_depth", shard="shard-0").set(2)
         registry.dump(directory / "metrics.jsonl")
         events.close()

@@ -87,7 +87,6 @@ EVENT_KINDS = frozenset({
     "worker_failover",       # shard, reason, respawns
     "wal_replay",            # shard, records, wal_records
     "overload_transition",   # from_state, to_state, occupancy
-    "tenant_shed",           # tenant, service
     "drain_start",           # pending
     "drain_complete",        # shards
     # SLO engine (repro.obs.slo)

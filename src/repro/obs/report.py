@@ -306,7 +306,7 @@ def _render_remediation_timeline(telemetry: RunTelemetry,
 # ----------------------------------------------------------------------
 _GATEWAY_KINDS = frozenset({
     "worker_spawn", "worker_ready", "worker_failover", "wal_replay",
-    "overload_transition", "tenant_shed", "drain_start", "drain_complete",
+    "overload_transition", "drain_start", "drain_complete",
 })
 
 
@@ -393,9 +393,6 @@ def _render_gateway(telemetry: RunTelemetry) -> Optional[str]:
         lines.append(f"  ladder {event.get('from_state')} -> "
                      f"{event.get('to_state')} "
                      f"(occupancy {event.get('occupancy', 0.0):.2f})")
-    shed = [e for e in events if e["kind"] == "tenant_shed"]
-    if shed:
-        lines.append(f"  tenant sheds: {len(shed)}")
     drained = any(e["kind"] == "drain_complete" for e in events)
     if drained:
         lines.append("  drained cleanly")

@@ -78,7 +78,6 @@ from repro.runtime.gateway import (
     GatewayError,
     ServingGateway,
     SubmitResult,
-    TenantPolicy,
     WalCorruptionError,
     WriteAheadLog,
 )
@@ -120,7 +119,7 @@ __all__ = [
     "ActionFault", "ACTION_FAULT_KINDS",
     "GatewayFault", "GATEWAY_FAULT_KINDS",
     "ServingGateway", "GatewayConfig", "GatewayError", "SubmitResult",
-    "ConsistentHashRing", "TenantPolicy",
+    "ConsistentHashRing",
     "WriteAheadLog", "WalCorruptionError",
     "RemediationController", "RemediationConfig",
     "run_drill", "DrillConfig", "DrillReport",

@@ -3,18 +3,12 @@
 The fleet-scale entry point over :class:`~repro.runtime.ServingRuntime`:
 consistent-hash sharding onto supervised scoring workers, a crash-safe
 per-shard write-ahead log that makes every acknowledgement a durability
-promise, bounded queues with explicit backpressure, per-tenant admission
-control under a fleet-wide overload ladder, and loss-free worker
-failover verified bitwise by the chaos suite.  See DESIGN.md §14.
+promise, bounded queues with explicit backpressure, admission under a
+fleet-wide overload ladder, and loss-free worker failover verified
+bitwise by the chaos suite.  See DESIGN.md §14.
 """
 
-from repro.runtime.gateway.admission import (
-    AdmissionController,
-    OverloadLadder,
-    OverloadState,
-    TenantPolicy,
-    TokenBucket,
-)
+from repro.runtime.gateway.admission import AdmissionController, OverloadState
 from repro.runtime.gateway.gateway import (
     GatewayConfig,
     GatewayError,
@@ -43,12 +37,9 @@ __all__ = [
     "GatewayConfig",
     "GatewayError",
     "KILLED_EXIT_CODE",
-    "OverloadLadder",
     "OverloadState",
     "ServingGateway",
     "SubmitResult",
-    "TenantPolicy",
-    "TokenBucket",
     "TrafficConfig",
     "TrafficReport",
     "WalCorruptionError",

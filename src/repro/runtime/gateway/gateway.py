@@ -11,10 +11,9 @@ fire:
 * **bounded queues, explicit backpressure** — each shard buffers at most
   ``queue_depth`` updates; a full queue rejects with ``retry_after``
   instead of buffering unboundedly.
-* **admission control** — per-tenant token buckets and the fleet-wide
-  overload ladder (:mod:`repro.runtime.gateway.admission`): shed the
-  lowest-priority tenants first, degrade to the spectral fallback scorer
-  next, refuse outright only at the top rung.
+* **admission control** — the fleet-wide overload ladder
+  (:mod:`repro.runtime.gateway.admission`): degrade to the spectral
+  fallback scorer first, refuse outright only at the top rung.
 * **supervised workers, loss-free failover** — a worker that dies or
   stops acking is reaped (SIGTERM→SIGKILL), respawned with seeded
   exponential backoff, rebuilt from its last snapshot, and caught up by
@@ -45,12 +44,7 @@ from repro.obs.events import EventLog
 from repro.obs.metrics import get_registry
 from repro.obs.propagate import TraceContext, TraceLog
 from repro.runtime.faults import GatewayFault
-from repro.runtime.gateway.admission import (
-    AdmissionController,
-    OverloadLadder,
-    OverloadState,
-    TenantPolicy,
-)
+from repro.runtime.gateway.admission import AdmissionController, OverloadState
 from repro.runtime.gateway.hashring import ConsistentHashRing
 from repro.runtime.gateway.wal import ENTRY_SCHEMA, WriteAheadLog, read_wal
 from repro.runtime.gateway.worker import run_shard_worker
@@ -63,11 +57,17 @@ from repro.runtime.supervise import (
 
 __all__ = ["GatewayError", "GatewayConfig", "SubmitResult", "ServingGateway"]
 
-_DEFAULT_TENANT = "default"
 # Seconds a fresh worker has to say hello (plus any injected slow start).
 _SPAWN_TIMEOUT = 30.0
 # Respawns per shard before the gateway gives up with GatewayError.
 _MAX_RESPAWNS = 5
+# Suggested client backoff (seconds) on a rejected update.
+_RETRY_AFTER = 0.05
+# WAL segment rotation size (the log's own default is 1 MiB).
+_SEGMENT_BYTES = 256 * 1024
+# Respawn backoff ceiling (seconds) and its seeded +[0, jitter] fraction.
+_BACKOFF_CAP = 2.0
+_BACKOFF_JITTER = 0.25
 
 
 class GatewayError(RuntimeError):
@@ -83,19 +83,10 @@ class GatewayConfig:
     seed: int = 0
     window: int = 40
     q: float = 1e-3
-    replicas: int = 64              # hash-ring virtual nodes per worker
     queue_depth: int = 64           # per-shard bounded buffer
-    segment_bytes: int = 256 * 1024  # WAL rotation size
     snapshot_every: int = 128       # worker snapshot cadence (applies)
     ack_timeout: float = 10.0       # per-update worker ack deadline
     backoff_base: float = 0.05      # seconds; doubles per respawn
-    backoff_cap: float = 2.0
-    backoff_jitter: float = 0.25    # +[0, jitter] fraction, seeded draw
-    retry_after: float = 0.05       # suggested client backoff on reject
-    shed_at: float = 0.60           # overload ladder thresholds
-    degrade_at: float = 0.80
-    refuse_at: float = 0.95
-    hysteresis: float = 0.10
 
     def __post_init__(self):
         if self.workers < 1:
@@ -113,8 +104,8 @@ class SubmitResult:
     accepted: bool
     service_id: str
     sequence: int
-    reason: str                 # ok | duplicate | backpressure | throttled
-    #                           # | shed | refused | draining | gap
+    reason: str                 # ok | duplicate | backpressure | refused
+    #                           # | draining | gap
     retry_after: float = 0.0    # seconds; meaningful when rejected
     degraded: bool = False      # accepted under the DEGRADED rung
 
@@ -143,7 +134,7 @@ class _Shard:
 
 
 class ServingGateway:
-    """Async multi-tenant front door over a pool of scoring workers.
+    """Async front door over a pool of scoring workers.
 
     Parameters
     ----------
@@ -157,16 +148,11 @@ class ServingGateway:
         ``service_id -> calibration history`` for every served service.
     config:
         :class:`GatewayConfig` policy knobs.
-    tenants / tenant_of:
-        Admission policies and the service→tenant map.  Omitted, every
-        service rides one permissive ``"default"`` tenant.
     """
 
     def __init__(self, directory: str | Path, detector: AnomalyDetector,
                  services: Dict[str, np.ndarray],
-                 config: Optional[GatewayConfig] = None,
-                 tenants: Optional[Dict[str, TenantPolicy]] = None,
-                 tenant_of: Optional[Dict[str, str]] = None):
+                 config: Optional[GatewayConfig] = None):
         if not services:
             raise ValueError("need at least one service")
         self.directory = Path(directory)
@@ -174,30 +160,15 @@ class ServingGateway:
         self.config = config if config is not None else GatewayConfig()
         self.services = {sid: np.atleast_2d(np.asarray(history, dtype=float))
                          for sid, history in services.items()}
-        if tenants is None:
-            tenants = {_DEFAULT_TENANT: TenantPolicy(
-                _DEFAULT_TENANT, rate=1e6, burst=1e6)}
-        self.tenant_of = dict(tenant_of or {})
-        for sid in self.services:
-            self.tenant_of.setdefault(sid, _DEFAULT_TENANT)
-        unknown = sorted(set(self.tenant_of.values()) - set(tenants))
-        if unknown:
-            raise ValueError(f"services mapped to unknown tenants: {unknown}")
-        self.admission = AdmissionController(tenants)
-        self.ladder = OverloadLadder(
-            shed_at=self.config.shed_at, degrade_at=self.config.degrade_at,
-            refuse_at=self.config.refuse_at,
-            hysteresis=self.config.hysteresis,
-        )
+        self.admission = AdmissionController()
         self.ring = ConsistentHashRing(
             [f"w{i}" for i in range(self.config.workers)],
-            replicas=self.config.replicas, seed=self.config.seed,
+            seed=self.config.seed,
         )
         self._context = process_context()
         self._backoff = Backoff(self.config.seed, 0x6A7E,
-                                self.config.backoff_base,
-                                self.config.backoff_cap,
-                                self.config.backoff_jitter)
+                                self.config.backoff_base, _BACKOFF_CAP,
+                                _BACKOFF_JITTER)
         self.registry = get_registry()
         self._events: Optional[EventLog] = None
         self._traces: Optional[TraceLog] = None
@@ -232,7 +203,7 @@ class ServingGateway:
                 shard_id=shard_id,
                 services=assignment[shard_id],
                 wal=WriteAheadLog(shard_dir / "wal",
-                                  segment_bytes=self.config.segment_bytes),
+                                  segment_bytes=_SEGMENT_BYTES),
                 queue=asyncio.Queue(maxsize=self.config.queue_depth),
                 snapshot_path=shard_dir / "snapshot.json",
                 slow_start=self._pre_slow_start.get(shard_id, 0.0),
@@ -365,33 +336,23 @@ class ServingGateway:
                     f"got {row.size}"
                 )
         started = time.perf_counter()
-        tenant = self.tenant_of[service_id]
 
         if self._draining:
-            return self._reject(service_id, sequence, tenant, "draining")
+            return self._reject(service_id, sequence, "draining")
         last = self._accepted_sequence[service_id]
         if sequence <= last:
-            self.registry.counter("gateway.duplicates", tenant=tenant).inc()
+            self.registry.counter("gateway.duplicates").inc()
             return SubmitResult(True, service_id, sequence, "duplicate")
         if sequence != last + 1:
-            return self._reject(service_id, sequence, tenant, "gap",
-                                retry_after=0.0)
+            return self._reject(service_id, sequence, "gap", retry_after=0.0)
 
         state = self._observe_ladder()
         if state is OverloadState.REFUSE:
-            return self._reject(service_id, sequence, tenant, "refused")
-        if state is OverloadState.SHED_LOW and self._sheddable(tenant):
-            self.registry.counter("gateway.shed", tenant=tenant).inc()
-            self._emit("tenant_shed", tenant=tenant, service=service_id)
-            return self._reject(service_id, sequence, tenant, "shed")
-        admitted, retry_after = self.admission.admit(tenant)
-        if not admitted:
-            return self._reject(service_id, sequence, tenant, "throttled",
-                                retry_after=retry_after)
+            return self._reject(service_id, sequence, "refused")
 
         shard = self._shards[self._shard_of[service_id]]
         if shard.queue.full():
-            return self._reject(service_id, sequence, tenant, "backpressure")
+            return self._reject(service_id, sequence, "backpressure")
 
         degraded = state is OverloadState.DEGRADED
         context = TraceContext.mint(self.config.seed, service_id, sequence)
@@ -416,7 +377,7 @@ class ServingGateway:
         # depend on the wall clock.
         shard.queue.put_nowait((entry, time.perf_counter()))
         self._accepted_sequence[service_id] = sequence
-        self.registry.counter("gateway.accepted", tenant=tenant).inc()
+        self.registry.counter("gateway.accepted").inc()
         if degraded:
             self.registry.counter("gateway.degraded_accepts").inc()
         self.registry.gauge("gateway.queue_depth",
@@ -438,13 +399,9 @@ class ServingGateway:
         return SubmitResult(True, service_id, sequence, "ok",
                             degraded=degraded)
 
-    def _reject(self, service_id: str, sequence: int, tenant: str,
-                reason: str, retry_after: Optional[float] = None
-                ) -> SubmitResult:
-        self.registry.counter("gateway.rejected", tenant=tenant,
-                              reason=reason).inc()
-        if retry_after is None:
-            retry_after = self.config.retry_after
+    def _reject(self, service_id: str, sequence: int, reason: str,
+                retry_after: float = _RETRY_AFTER) -> SubmitResult:
+        self.registry.counter("gateway.rejected", reason=reason).inc()
         return SubmitResult(False, service_id, sequence, reason,
                             retry_after=retry_after)
 
@@ -460,24 +417,14 @@ class ServingGateway:
         capacity = len(self._shards) * self.config.queue_depth
         occupancy = sum(shard.queue.qsize()
                         for shard in self._shards.values()) / capacity
-        previous = self.ladder.state
-        state = self.ladder.observe(occupancy)
+        previous = self.admission.state
+        state = self.admission.admit(occupancy)
         if state is not previous:
             self.registry.counter("gateway.overload_transitions",
                                   to_state=state.value).inc()
             self._emit("overload_transition", from_state=previous.value,
                        to_state=state.value, occupancy=occupancy)
         return state
-
-    def _sheddable(self, tenant: str) -> bool:
-        """Only the lowest priority class sheds, and only when a higher
-        class exists to protect — with one class there is nothing
-        'lower' to sacrifice and the ladder escalates instead."""
-        priorities = {policy.priority
-                      for policy in self.admission.policies.values()}
-        if len(priorities) < 2:
-            return False
-        return self.admission.priority(tenant) == min(priorities)
 
     # ------------------------------------------------------------------
     # Dispatch path (the ack protocol's back half)
@@ -718,7 +665,7 @@ class ServingGateway:
     def status(self) -> dict:
         """One-glance gateway status (CLI / dashboards)."""
         return {
-            "overload_state": self.ladder.state.value,
+            "overload_state": self.admission.state.value,
             "draining": self._draining,
             "shards": {
                 shard_id: {

@@ -7,8 +7,8 @@ gateway's durability story is built on.  Two properties make it the
 chaos suite's measuring instrument:
 
 * **at-least-once, never silent-drop** — a rejected submit (backpressure,
-  throttle, shed, refuse) is retried with the same sequence after the
-  suggested ``retry_after``; a delivery fault from a
+  refuse) is retried with the same sequence after the suggested
+  ``retry_after``; a delivery fault from a
   :meth:`~repro.runtime.faults.FaultInjector.plan_gateway_faults`
   schedule (delay / duplicate / drop) perturbs *when and how often* an
   update is transmitted, never *whether* it is eventually accepted.  The

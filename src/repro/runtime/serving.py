@@ -284,8 +284,8 @@ class ServingRuntime:
         breaker's own fallback semantics — so a WAL that records the flag
         replays to the identical state.
 
-        Every applied update lands in the per-service latency histogram
-        (``serving.update_seconds``), and any health-state transition it
+        Every applied update (and no rejected one) lands in the
+        per-service latency histogram (``serving.update_seconds``), and any health-state transition it
         caused is counted (``serving.health_transitions``) and emitted as
         a ``health_transition`` event — ``breaker_trip`` when the breaker
         opened.
@@ -312,13 +312,13 @@ class ServingRuntime:
             with span("serving.update"):
                 outcome = self._update(service_id, observation,
                                        force_fallback=force_fallback)
+            self._latency[service_id].observe(
+                time.perf_counter() - started,  # effects: ok TIME reason=latency measurement is telemetry, never model input
+                exemplar=trace_id)
             if sequence is not None:
                 self._applied_sequence[service_id] = sequence
             return outcome
         finally:
-            self._latency[service_id].observe(
-                time.perf_counter() - started,  # effects: ok TIME reason=latency measurement is telemetry, never model input
-                exemplar=trace_id)
             self._report_transitions(service_id)
 
     def applied_sequence(self, service_id: str) -> int:

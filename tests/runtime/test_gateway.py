@@ -3,13 +3,14 @@
 Covers the pieces the chaos gate (tests/runtime/test_chaos_serve.py)
 composes: the consistent-hash shard map (determinism + bounded remap),
 the write-ahead log (torn-tail recovery, typed corruption, bitwise float
-round-trips), admission control (token buckets + overload ladder on a
-virtual clock), and the idempotent sequence-aware ServingRuntime update
-that makes WAL replay safe, plus the worker kill -> state-collection
-failover path.
+round-trips), the overload ladder (with a differential pin against the
+earlier four-rung ladder), the idempotent sequence-aware ServingRuntime
+update that makes WAL replay safe, and the worker kill ->
+state-collection failover path.
 """
 
 import asyncio
+import hashlib
 import json
 import struct
 
@@ -21,19 +22,13 @@ from repro.runtime import (
     ConsistentHashRing,
     GatewayConfig,
     ServingGateway,
-    TenantPolicy,
     WalCorruptionError,
     WriteAheadLog,
     load_streaming_state,
     save_streaming_state,
 )
 from repro.runtime.gateway import ZScoreDetector, make_fleet_series, read_wal
-from repro.runtime.gateway.admission import (
-    AdmissionController,
-    OverloadLadder,
-    OverloadState,
-    TokenBucket,
-)
+from repro.runtime.gateway.admission import AdmissionController, OverloadState
 from repro.runtime.serving import ServingRuntime
 
 KEYS = [f"svc-{i}" for i in range(512)]
@@ -191,91 +186,69 @@ class TestWriteAheadLog:
             assert wal.durable_lsn == 1
 
 
-class _Clock:
-    """Injectable monotonic clock for admission tests."""
+def _occupancy_walk(steps=2000, seed=7):
+    """Seeded queue-occupancy walk: mostly small drifts, with one step in
+    five a large jump, clipped to ``[0, 1]`` — it crosses every rung's
+    threshold and hysteresis band many times."""
+    rng = np.random.default_rng(seed)
+    occupancy = 0.5
+    walk = []
+    for _ in range(steps):
+        if rng.random() < 0.2:
+            occupancy += rng.uniform(-0.6, 0.6)
+        else:
+            occupancy += rng.normal(0.0, 0.03)
+        occupancy = min(max(occupancy, 0.0), 1.0)
+        walk.append(occupancy)
+    return walk
 
-    def __init__(self):
-        self.now = 0.0
 
-    def __call__(self):
-        return self.now
-
-
-class TestAdmission:
-    def test_bucket_spends_burst_then_throttles_with_retry_after(self):
-        clock = _Clock()
-        bucket = TokenBucket(rate=10.0, burst=3.0, clock=clock)
-        assert [bucket.try_acquire()[0] for _ in range(3)] == [True] * 3
-        acquired, retry_after = bucket.try_acquire()
-        assert not acquired
-        assert retry_after == pytest.approx(0.1)
-        clock.now += retry_after
-        assert bucket.try_acquire() == (True, 0.0)
-
-    def test_bucket_never_exceeds_burst(self):
-        clock = _Clock()
-        bucket = TokenBucket(rate=100.0, burst=5.0, clock=clock)
-        clock.now += 60.0
-        assert bucket.tokens == 5.0
-
-    def test_controller_admits_per_tenant_and_rejects_unknown(self):
-        clock = _Clock()
-        controller = AdmissionController({
-            "gold": TenantPolicy("gold", rate=100.0, burst=2.0, priority=2),
-            "free": TenantPolicy("free", rate=100.0, burst=1.0, priority=0),
-        }, clock=clock)
-        assert controller.admit("gold")[0]
-        assert controller.admit("free")[0]
-        assert not controller.admit("free")[0]   # burst of 1 is spent
-        assert controller.admit("gold")[0]       # gold unaffected
-        assert controller.min_priority() == 0
-        assert controller.priority("gold") == 2
-        with pytest.raises(KeyError):
-            controller.admit("stranger")
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            TenantPolicy("t", rate=0.0)
-        with pytest.raises(ValueError):
-            TenantPolicy("t", burst=0.5)
-        with pytest.raises(ValueError):
-            TenantPolicy("t", priority=-1)
+# SHA-256 of the "{degraded}{refused}" digit pairs, one per step of
+# _occupancy_walk(), as the earlier four-rung ladder (NORMAL, SHED_LOW,
+# DEGRADED, REFUSE; thresholds 0.60 / 0.80 / 0.95, hysteresis 0.10)
+# answered them through OverloadLadder().observe.  With a single tenant
+# SHED_LOW accepted exactly as NORMAL, so dropping that rung must leave
+# every degraded/refused verdict unchanged.
+_FOUR_RUNG_VERDICT_DIGEST = (
+    "796f893991d870c4455d6e64ab7138140b99ec593030a20e20662acf20b91558")
 
 
 class TestOverloadLadder:
     def test_ascends_immediately_possibly_multiple_rungs(self):
-        ladder = OverloadLadder()
-        assert ladder.observe(0.97) is OverloadState.REFUSE
+        ladder = AdmissionController()
+        assert ladder.admit(0.97) is OverloadState.REFUSE
         assert ladder.transitions == 1
 
     def test_descends_one_rung_at_a_time_with_hysteresis(self):
-        ladder = OverloadLadder(shed_at=0.6, degrade_at=0.8, refuse_at=0.95,
-                                hysteresis=0.1)
-        ladder.observe(1.0)
+        ladder = AdmissionController()
+        ladder.admit(1.0)
         assert ladder.state is OverloadState.REFUSE
-        # 0.9 is not hysteresis-clear of refuse_at (0.95 - 0.1 = 0.85).
-        assert ladder.observe(0.9) is OverloadState.REFUSE
-        assert ladder.observe(0.2) is OverloadState.DEGRADED
-        assert ladder.observe(0.2) is OverloadState.SHED_LOW
-        assert ladder.observe(0.2) is OverloadState.NORMAL
-        assert ladder.observe(0.2) is OverloadState.NORMAL
-        assert ladder.transitions == 4
+        # 0.9 is not hysteresis-clear of REFUSE_AT (0.95 - 0.1 = 0.85).
+        assert ladder.admit(0.9) is OverloadState.REFUSE
+        assert ladder.admit(0.2) is OverloadState.DEGRADED
+        assert ladder.admit(0.2) is OverloadState.NORMAL
+        assert ladder.admit(0.2) is OverloadState.NORMAL
+        assert ladder.transitions == 3
 
     def test_boundary_hover_does_not_flap(self):
-        ladder = OverloadLadder(shed_at=0.6, degrade_at=0.8, refuse_at=0.95,
-                                hysteresis=0.1)
-        ladder.observe(0.65)
-        assert ladder.state is OverloadState.SHED_LOW
-        for occupancy in (0.58, 0.61, 0.55, 0.62):
-            ladder.observe(occupancy)
-            assert ladder.state is OverloadState.SHED_LOW
-        assert ladder.observe(0.49) is OverloadState.NORMAL
+        ladder = AdmissionController()
+        ladder.admit(0.85)
+        assert ladder.state is OverloadState.DEGRADED
+        for occupancy in (0.78, 0.81, 0.75, 0.82):
+            ladder.admit(occupancy)
+            assert ladder.state is OverloadState.DEGRADED
+        assert ladder.admit(0.69) is OverloadState.NORMAL
 
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            OverloadLadder(shed_at=0.8, degrade_at=0.6)
-        with pytest.raises(ValueError):
-            OverloadLadder(hysteresis=0.7)
+    def test_verdicts_match_the_four_rung_ladder(self):
+        ladder = AdmissionController()
+        verdicts = []
+        for occupancy in _occupancy_walk():
+            state = ladder.admit(occupancy)
+            verdicts.append(f"{int(state is OverloadState.DEGRADED)}"
+                            f"{int(state is OverloadState.REFUSE)}")
+        assert {"00", "10", "01"} <= set(verdicts)
+        digest = hashlib.sha256("".join(verdicts).encode()).hexdigest()
+        assert digest == _FOUR_RUNG_VERDICT_DIGEST
 
 
 def _tiny_runtime(num_services=1, history_len=64, updates=8, window=16):

@@ -313,6 +313,19 @@ class TestServingTelemetry:
         assert min(values) <= seconds["p50"] <= seconds["p99"]
         assert seconds["p99"] <= seconds["max"] == max(values)
 
+    def test_rejected_update_not_counted(self):
+        """A wrong-width update raises before anything is applied, so it
+        must not reach the latency histogram or the detail view's count."""
+        runtime, registry = self._fresh_runtime()
+        runtime.update("svc", _history(seed=6)[0], sequence=1)
+        for sequence in (2, 3, 4):
+            with pytest.raises(ValueError):
+                runtime.update("svc", np.zeros(7), sequence=sequence)
+        assert runtime.applied_sequence("svc") == 1
+        assert runtime.health_states(detail=True)["svc"]["updates"] == 1
+        histogram = registry.get("serving.update_seconds", service="svc")
+        assert histogram.count == 1
+
     def test_failed_update_still_counted(self):
         """The latency histogram records even quarantined/fallback paths."""
         runtime, registry = self._fresh_runtime()

@@ -33,4 +33,5 @@ def test_every_wrap_target_resolves():
     recorder = _ResolvingRecorder()
     tracer.install_wrappers(recorder)
     assert {"TraceLog.record", "ServingGateway.submit",
+            "AdmissionController.admit",
             "repro.runtime.gateway.gateway.read_wal"} <= set(recorder.targets)

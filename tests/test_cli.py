@@ -253,7 +253,7 @@ def _slo_run_dir(path):
                       service="svc-0", sequence=tick, shard="shard-0",
                       incarnation=0, replay=False, duplicate=False)
         engine.step(tick)
-    registry.counter("gateway.accepted", tenant="default").inc(30)
+    registry.counter("gateway.accepted").inc(30)
     registry.gauge("gateway.queue_depth", shard="shard-0").set(3)
     wait = registry.histogram("gateway.queue_wait_seconds", shard="shard-0")
     for value in (0.001, 0.002, 0.004):
